@@ -8,17 +8,15 @@ import (
 )
 
 func TestAllExperimentsRunAndProduceOutput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments are slow; skipped with -short")
-	}
-	for _, e := range All() {
-		e := e
+	r := serialRender(t)
+	for i, e := range All() {
+		e, sec := e, r.sections[i]
 		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := e.Run(&buf); err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
+			if sec == nil {
+				t.Fatalf("%s: section missing from the suite render", e.ID)
 			}
-			out := buf.String()
+			// The section is RunOne's header, e.Run's rows, then a blank line.
+			out := string(sec[len(sectionHeader(e)) : len(sec)-1])
 			if len(strings.TrimSpace(out)) == 0 {
 				t.Fatalf("%s produced no output", e.ID)
 			}
@@ -85,15 +83,9 @@ func TestExpectedShapes(t *testing.T) {
 }
 
 func TestRunAllWritesEverySection(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	var buf bytes.Buffer
-	if err := RunAll(&buf); err != nil {
-		t.Fatal(err)
-	}
+	out := string(serialRender(t).out)
 	for _, e := range All() {
-		if !strings.Contains(buf.String(), "== "+e.ID+":") {
+		if !strings.Contains(out, "== "+e.ID+":") {
 			t.Errorf("RunAll missing section %s", e.ID)
 		}
 	}

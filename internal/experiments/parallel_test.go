@@ -9,21 +9,15 @@ import (
 // parallel engine: for every worker count the parallel runner's output must
 // be byte-for-byte identical to the serial RunAll over all experiments.
 func TestRunAllParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments are slow; skipped with -short")
-	}
-	var serial bytes.Buffer
-	if err := RunAll(&serial); err != nil {
-		t.Fatal(err)
-	}
+	serial := serialRender(t).out
 	for _, workers := range []int{1, 4, 0} {
 		var par bytes.Buffer
 		if err := RunAllParallel(&par, workers); err != nil {
 			t.Fatalf("RunAllParallel(%d): %v", workers, err)
 		}
-		if !bytes.Equal(serial.Bytes(), par.Bytes()) {
+		if !bytes.Equal(serial, par.Bytes()) {
 			t.Fatalf("RunAllParallel(%d) output differs from serial RunAll (%d vs %d bytes)",
-				workers, par.Len(), serial.Len())
+				workers, par.Len(), len(serial))
 		}
 	}
 }
