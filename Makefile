@@ -10,8 +10,10 @@
 #   make bench-smoke  one fast suite pass diffed against the recorded
 #                BENCH_pr1.json baseline; fails on a large regression
 #   make fuzz-smoke  fuzz arbitrary fault schedules against the packet and
-#                multipath-transport conservation invariants (serial and
-#                sharded engines) for a few seconds each
+#                multipath-transport conservation invariants for a few
+#                seconds each (FuzzFaultPlanConservation drives the
+#                one-shard packet engine, packetsim.Run; FuzzShardConservation
+#                the multi-shard one)
 #   make bench-scale  quick sharded-engine scaling sweep (1k servers); the
 #                full 1k/10k/100k sweep is `cmd/benchsuite -scale`, recorded
 #                as BENCH_pr6.json

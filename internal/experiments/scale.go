@@ -16,9 +16,11 @@ import (
 // claim under test is the sharded engine's contract — the partition changes
 // where events are processed, never what happens — so the table reports the
 // simulation results per shard count together with an explicit
-// identical-to-serial marker. Wall-clock speedup is measured by the bench
-// suite (cmd/benchsuite -scale), not here: experiment output must be
-// deterministic, and timings never are.
+// identical-to-shards=1 marker. For the packet engine shards=1 is
+// packetsim.Run itself; for transport it is the sharded engine's own
+// one-shard run, not the serial RunTransport. Wall-clock speedup is
+// measured by the bench suite (cmd/benchsuite -scale), not here:
+// experiment output must be deterministic, and timings never are.
 const (
 	scaleFlowBytes = 64 << 10
 	scaleSeed      = 28
@@ -26,7 +28,7 @@ const (
 	scaleRepairAt  = 2e-3
 )
 
-// scaleShardCounts is the shard axis: serial, even splits, and a prime count
+// scaleShardCounts is the shard axis: one shard, even splits, and a prime count
 // that divides nothing evenly.
 var scaleShardCounts = []int{1, 2, 4, 7}
 

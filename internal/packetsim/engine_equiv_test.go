@@ -113,16 +113,23 @@ func TestRunMatchesReferenceEngine(t *testing.T) {
 	for cname, mk := range cfgs {
 		for _, tc := range equivCases(t) {
 			t.Run(cname+"/"+tc.name, func(t *testing.T) {
-				got, err := Run(tc.topo, tc.flows, mk())
+				want, err := referenceRun(tc.topo, tc.flows, mk())
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := referenceRun(tc.topo, tc.flows, mk())
+				got, err := Run(tc.topo, tc.flows, mk())
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != want {
 					t.Errorf("engine diverged from reference:\n new %+v\n old %+v", got, want)
+				}
+				got, err = RunSharded(tc.topo, tc.flows, mk(), ShardOpts{Shards: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("3-shard engine diverged from reference:\n new %+v\n old %+v", got, want)
 				}
 			})
 		}

@@ -13,16 +13,15 @@
 // compiled once per (topology, workload) into flat link-resource arrays and
 // cached across runs, and packets are injected lazily — one pending event
 // per flow instead of materializing every packet up front — so the heap
-// stays O(flows + in-flight) no matter how heavy the workload. The
-// pre-overhaul engines survive in reference.go as the oracle the
-// equivalence tests pin these results against, event for event.
+// stays O(flows + in-flight) no matter how heavy the workload. The datagram
+// model has one event loop, the sharded one in shardrun.go; Run is its
+// one-shard case. The pre-overhaul engines survive in reference.go as the
+// oracle the equivalence tests pin these results against, event for event.
 package packetsim
 
 import (
 	"fmt"
-	"math"
 
-	"repro/internal/eventq"
 	"repro/internal/failure"
 	"repro/internal/obs"
 	"repro/internal/topology"
@@ -148,188 +147,12 @@ type simEvent struct {
 
 // Run simulates the given workload on a structure, routing each flow with
 // the structure's own routing algorithm and injecting its packets at the
-// configured flow rate starting at time zero.
-//
-// Injection is lazy: the queue holds one pending-injection event per flow
-// (plus in-flight packets), not every future packet, so heavy all-to-all
-// workloads no longer materialize O(total packets) events up front. Event
-// keys reproduce the eager engine's numbering — injections take
-// flowBase+pn, forwards a counter starting past all injections — so the pop
-// sequence, and therefore every float operation, is identical to the
-// reference engine's.
+// configured flow rate starting at time zero. It is the one-shard case of
+// RunSharded, so it shares that engine's content-keyed semantics: same-time
+// events pop in packet-id order, and the mean latency is summed over the
+// sorted samples.
 func Run(t topology.Topology, flows []traffic.Flow, cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	plan, err := planFor(t, flows)
-	if err != nil {
-		return Result{}, err
-	}
-
-	txTime := float64(cfg.MTU) / cfg.LinkBandwidthBps
-	gap := float64(cfg.MTU) / cfg.FlowRateBps
-
-	// packets[i] is flow i's packet count; base[i] its first packet's event
-	// key (the eager engine's per-packet seq numbering, preserved so ties
-	// between flows resolve identically).
-	packets := make([]int32, len(flows))
-	base := make([]int64, len(flows))
-	var totalPackets int64
-	q := eventq.New[simEvent](64)
-	for i, f := range flows {
-		base[i] = totalPackets
-		if len(plan.paths[i]) < 2 {
-			continue // src == dst
-		}
-		packets[i] = int32((f.Bytes + int64(cfg.MTU) - 1) / int64(cfg.MTU))
-		totalPackets += int64(packets[i])
-		if packets[i] > 0 {
-			q.Push(f.StartSec, base[i], simEvent{flow: int32(i), pn: 0, idx: 0})
-		}
-	}
-	seq := totalPackets // forwarded-event keys sort after all injections
-
-	// Live faults: schedule events carry negative keys, so a fault at time T
-	// applies before any packet event at T, and plan order breaks same-time
-	// ties. Nothing is pushed (and fs stays nil) without a plan.
-	var fs *faultState
-	if cfg.Faults != nil {
-		fs, err = newFaultState(cfg.Faults, t.Network(), cfg.Timeline, cfg.Metrics, cfg.Trace)
-		if err != nil {
-			return Result{}, err
-		}
-		for i, fe := range cfg.Faults.Events {
-			q.Push(fe.TimeSec, int64(i)-int64(len(cfg.Faults.Events)),
-				simEvent{flow: -1, pn: int32(i)})
-		}
-	}
-
-	// Instrumentation: hoisted nil-able instruments; every update below is a
-	// nil-check no-op when cfg.Metrics/cfg.Trace are unset.
-	var (
-		cDelivered = cfg.Metrics.Counter(MetricDelivered)
-		cDropped   = cfg.Metrics.Counter(MetricDroppedTail)
-		cFault     = cfg.Metrics.Counter(MetricDroppedFault)
-		hQueue     = cfg.Metrics.Histogram(MetricQueueDepth)
-		hHops      = cfg.Metrics.Histogram(MetricHops)
-		hLatency   = cfg.Metrics.Histogram(MetricLatencyNs)
-		tracer     = cfg.Trace
-		st         = newSeriesTracks(cfg.Series)
-	)
-
-	// linkFree[r] is when directed link resource r's transmitter frees.
-	linkFree := make([]float64, plan.numRes)
-	var res Result
-	latencies := make([]float64, 0, totalPackets)
-	var deliveredBytes int64
-
-	for q.Len() > 0 {
-		now, _, ev := q.Pop()
-		if ev.flow < 0 {
-			fs.apply(now, int(ev.pn))
-			continue
-		}
-		fi := int(ev.flow)
-		path := plan.paths[fi]
-		if ev.idx == 0 && ev.pn+1 < packets[fi] {
-			// This packet just left its source: queue the flow's next
-			// injection. The send-time formula matches the eager engine's
-			// bit for bit.
-			pn := ev.pn + 1
-			q.Push(flows[fi].StartSec+float64(pn)*gap, base[fi]+int64(pn),
-				simEvent{flow: ev.flow, pn: pn, idx: 0})
-		}
-		idx := int(ev.idx)
-		if idx == len(path)-1 {
-			sentAt := flows[fi].StartSec + float64(ev.pn)*gap
-			res.Delivered++
-			deliveredBytes += int64(cfg.MTU)
-			lat := now - sentAt
-			latencies = append(latencies, lat)
-			if now > res.MakespanSec {
-				res.MakespanSec = now
-			}
-			cDelivered.Inc()
-			hHops.Observe(int64(len(path) - 1))
-			hLatency.Observe(int64(lat * 1e9))
-			if st.armed {
-				st.goodput.Add(int64(now*1e9), int64(cfg.MTU))
-			}
-			if fs != nil {
-				fs.cur.Delivered++
-				fs.cur.DeliveredBytes += int64(cfg.MTU)
-			}
-			if tracer != nil {
-				tracer.Record(obs.Event{TimeNs: int64(now * 1e9), Kind: "deliver",
-					ID: base[fi] + int64(ev.pn), Node: path[idx], Hop: idx})
-			}
-			continue
-		}
-		r := plan.flowRes(fi)[idx]
-		if fs != nil && !fs.hopAlive(path[idx], path[idx+1], r) {
-			// The next hop touches a dead component: the packet is lost.
-			res.DroppedFault++
-			cFault.Inc()
-			fs.cur.DroppedFault++
-			if st.armed {
-				st.dropFault.Add(int64(now*1e9), 1)
-			}
-			if tracer != nil {
-				tracer.Record(obs.Event{TimeNs: int64(now * 1e9), Kind: "drop",
-					ID: base[fi] + int64(ev.pn), Node: path[idx], Hop: idx, Detail: DropCauseFault})
-			}
-			continue
-		}
-		// Drop-tail: the backlog ahead of us, in packets, is the remaining
-		// busy time divided by the per-packet transmit time.
-		backlog := (linkFree[r] - now) / txTime
-		if hQueue != nil {
-			hQueue.Observe(int64(math.Max(backlog, 0)))
-		}
-		if st.armed {
-			st.queue.Add(int64(now*1e9), int64(math.Max(backlog, 0)))
-		}
-		if backlog > float64(cfg.QueueLimitPackets) {
-			res.Dropped++
-			cDropped.Inc()
-			if fs != nil {
-				fs.cur.DroppedTail++
-			}
-			if st.armed {
-				st.dropTail.Add(int64(now*1e9), 1)
-			}
-			if tracer != nil {
-				tracer.Record(obs.Event{TimeNs: int64(now * 1e9), Kind: "drop",
-					ID: base[fi] + int64(ev.pn), Node: path[idx], Hop: idx, Detail: DropCauseTail})
-			}
-			continue
-		}
-		if tracer != nil {
-			tracer.Record(obs.Event{TimeNs: int64(now * 1e9), Kind: "hop",
-				ID: base[fi] + int64(ev.pn), Node: path[idx], Hop: idx})
-		}
-		start := math.Max(now, linkFree[r])
-		done := start + txTime
-		linkFree[r] = done
-		q.Push(done+cfg.LinkDelaySec, seq, simEvent{flow: ev.flow, pn: ev.pn, idx: ev.idx + 1})
-		seq++
-	}
-
-	if len(latencies) > 0 {
-		sum := 0.0
-		for _, l := range latencies {
-			sum += l
-		}
-		res.AvgLatencySec = sum / float64(len(latencies))
-		res.P99LatencySec = quantile(latencies, 0.99)
-	}
-	if res.MakespanSec > 0 {
-		res.ThroughputBps = float64(deliveredBytes) / res.MakespanSec
-	}
-	if fs != nil {
-		fs.finish(res.MakespanSec)
-	}
-	return res, nil
+	return RunSharded(t, flows, cfg, ShardOpts{Shards: 1})
 }
 
 // flowsimRoute mirrors flowsim.RoutePaths without importing it (avoiding a

@@ -6,14 +6,20 @@ package packetsim
 // nearest-rank p99 fix (applied to both engines so the comparison is about
 // the event machinery, not the quantile formula). They exist only as the
 // oracle for the equivalence tests and the baseline for the engine
-// benchmarks: the production Run/RunTransport now compile routes once and
-// drive an unboxed 4-ary eventq.Queue with lazy packet injection, and the
-// tests pin their Result/TransportResult byte-identical to these.
+// benchmarks: the production engines compile routes once and drive an
+// unboxed 4-ary eventq.Queue with lazy packet injection, and the tests pin
+// their Result/TransportResult byte-identical to these.
+//
+// referenceRun also carries the datagram engine's content-keyed semantics,
+// so it is an oracle for Run and RunSharded at any shard count: a forwarded
+// event is keyed by its packet id (not a push counter), and the mean latency
+// is summed over the sorted samples.
 
 import (
 	"container/heap"
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/topology"
 	"repro/internal/traffic"
@@ -121,11 +127,11 @@ func referenceRun(t topology.Topology, flows []traffic.Flow, cfg Config) (Result
 		start := math.Max(ev.t, linkFree[r])
 		done := start + txTime
 		linkFree[r] = done
-		heap.Push(&h, refEvent{t: done + cfg.LinkDelaySec, seq: seq, pkt: pkt, idx: idx + 1})
-		seq++
+		heap.Push(&h, refEvent{t: done + cfg.LinkDelaySec, seq: int64(pkt.id), pkt: pkt, idx: idx + 1})
 	}
 
 	if len(latencies) > 0 {
+		sort.Float64s(latencies)
 		sum := 0.0
 		for _, l := range latencies {
 			sum += l

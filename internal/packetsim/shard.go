@@ -26,8 +26,9 @@
 // (counts, maxima) merge trivially; float aggregates (latency sums,
 // quantiles) are computed over sorted samples, which fixes the accumulation
 // order. The shard-equivalence tests pin byte-identical results across
-// -shards 1..N; shard_test.go documents the (tie-break only) tolerance
-// against the serial engines.
+// -shards 1..N. The datagram engine at one shard is packetsim.Run itself;
+// the sharded transport differs from the serial RunTransport only as
+// ALGORITHMS.md documents.
 
 package packetsim
 
@@ -476,8 +477,8 @@ func finishShardTimelines(dst *Timeline, states []*faultState, makespanSec float
 // numbers independent of how deliveries were distributed across shards: the
 // multiset is identical for every shard count, the quantile is an order
 // statistic, and summing in ascending order fixes the float accumulation
-// order bit for bit. It reuses the serial engine's nearestRankIndex so the
-// sharded and serial quantile definitions can never drift apart.
+// order bit for bit. It reuses quantile's nearestRankIndex so the merged and
+// single-slice quantile definitions can never drift apart.
 func mergeLatencies(parts [][]float64) (avg, p99 float64) {
 	n := 0
 	for _, p := range parts {

@@ -1,8 +1,8 @@
-// The sharded packet engine: packetsim.Run partitioned by topology shard and
-// driven by the conservative window loop in shard.go. Each shard owns the
-// nodes topology.ShardNodes assigns it, the directed link resources whose
+// The datagram packet engine, partitioned by topology shard and driven by the
+// conservative window loop in shard.go. Each shard owns the nodes
+// topology.ShardNodes assigns it, the directed link resources whose
 // transmitter it owns, and its own event heap; packets hop between shards as
-// barrier-exchanged handoffs.
+// barrier-exchanged handoffs. Run is the one-shard case.
 
 package packetsim
 
@@ -27,14 +27,12 @@ type pktShard struct {
 	latencies                        []float64
 }
 
-// RunSharded simulates the same physics as Run across opts.Shards topology
-// shards. The result is byte-identical for every shard count and GOMAXPROCS;
-// against the serial Run it is equivalent up to the same-time tie-break rule
-// (see ALGORITHMS.md and the tolerance tests in shard_test.go): Run orders
-// same-time forwards by heap-insertion sequence, while the sharded engine
-// keys every hop of a packet's journey by the packet id so the order is
-// content-derived and shard-independent. With shards <= 1 the sharded
-// tie-break still applies, so RunSharded(1 shard) is its own oracle.
+// RunSharded simulates the workload across opts.Shards topology shards; Run
+// is the one-shard case. The result is byte-identical for every shard count
+// and GOMAXPROCS because every event is keyed by content, not push order:
+// each hop of a packet's journey carries the packet id, so same-time events
+// pop in packet-id order on whichever shard owns them, and the mean latency
+// is summed over the sorted samples (mergeLatencies).
 //
 // Trace events from concurrent shards interleave nondeterministically (their
 // multiset is still fixed); run with ShardOpts{Workers: 1} for a
