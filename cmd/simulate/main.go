@@ -100,6 +100,9 @@ func run(args []string, w io.Writer) error {
 	if *mpath && *faults == "" {
 		return fmt.Errorf("-multipath requires -faults (the proactive layer only arms under a fault plan)")
 	}
+	if *shards < 0 || *workers < 0 {
+		return fmt.Errorf("-shards and -workers must be non-negative, got %d and %d", *shards, *workers)
+	}
 	if (*shards != 0 || *workers != 0) && (*sim == "flow" || *sim == "svc" || *sim == "surv") {
 		return fmt.Errorf("-shards/-workers require -sim packet, transport or emu (the service layer runs on the serial engine; surv parallelizes over trials by itself)")
 	}
@@ -274,12 +277,8 @@ func run(args []string, w io.Writer) error {
 		cfg.Faults = plan
 		cfg.Timeline = timeline
 		cfg.Series = ser
-		var res packetsim.Result
-		if *shards != 0 {
-			res, err = packetsim.RunSharded(t, flows, cfg, packetsim.ShardOpts{Shards: *shards, Workers: *workers, Profile: prof})
-		} else {
-			res, err = packetsim.Run(t, flows, cfg)
-		}
+		// Without -shards this is the one-shard engine, i.e. packetsim.Run.
+		res, err := packetsim.RunSharded(t, flows, cfg, packetsim.ShardOpts{Shards: *shards, Workers: *workers, Profile: prof})
 		if err != nil {
 			return err
 		}

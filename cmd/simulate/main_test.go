@@ -122,6 +122,9 @@ func TestRunSimulations(t *testing.T) {
 		{name: "multipath with flow sim", args: []string{"-sim", "flow", "-multipath"}, wantErr: true},
 		{name: "multipath without faults", args: []string{"-sim", "transport", "-multipath"}, wantErr: true},
 		{name: "paths without multipath", args: []string{"-sim", "transport", "-faults", "switches", "-paths", "2"}, wantErr: true},
+		{name: "negative shards", args: []string{"-sim", "packet", "-shards", "-4"}, wantErr: true},
+		{name: "negative workers", args: []string{"-sim", "transport", "-shards", "2", "-workers", "-1"}, wantErr: true},
+		{name: "negative emu shards", args: []string{"-sim", "emu", "-shards", "-2"}, wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -140,6 +143,26 @@ func TestRunSimulations(t *testing.T) {
 				t.Errorf("output missing %q:\n%s", tt.want, buf.String())
 			}
 		})
+	}
+}
+
+// TestPacketSimIsOneShardEngine pins that plain -sim packet runs the
+// one-shard engine: its output, fault timeline and metrics summary included,
+// is byte-identical to -sim packet -shards 1.
+func TestPacketSimIsOneShardEngine(t *testing.T) {
+	base := []string{"-topo", "abccc", "-pattern", "shuffle", "-sim", "packet", "-faults", "switches", "-mtbf", "200us", "-mttr", "100us", "-metrics"}
+	var plain, sharded bytes.Buffer
+	if err := run(base, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(base, "-shards", "1"), &sharded); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plain.String(), "packet sim:") {
+		t.Fatalf("no packet sim line:\n%s", plain.String())
+	}
+	if plain.String() != sharded.String() {
+		t.Errorf("-sim packet differs from -shards 1:\n%s\n---\n%s", plain.String(), sharded.String())
 	}
 }
 
