@@ -472,8 +472,9 @@ func finishShardTimelines(dst *Timeline, states []*faultState, makespanSec float
 	return nil
 }
 
-// mergeLatencies concatenates the shards' delivery-latency samples, sorts
-// them, and returns the mean and nearest-rank p99. Sorting first makes both
+// mergeLatencies concatenates the shards' delivery-latency samples (a single
+// part is sorted in place, not copied), sorts them, and returns the mean and
+// nearest-rank p99. Sorting first makes both
 // numbers independent of how deliveries were distributed across shards: the
 // multiset is identical for every shard count, the quantile is an order
 // statistic, and summing in ascending order fixes the float accumulation
@@ -487,9 +488,12 @@ func mergeLatencies(parts [][]float64) (avg, p99 float64) {
 	if n == 0 {
 		return 0, 0
 	}
-	all := make([]float64, 0, n)
-	for _, p := range parts {
-		all = append(all, p...)
+	all := parts[0] // a single part is sorted in place
+	if len(parts) > 1 {
+		all = make([]float64, 0, n)
+		for _, p := range parts {
+			all = append(all, p...)
+		}
 	}
 	sort.Float64s(all)
 	sum := 0.0
