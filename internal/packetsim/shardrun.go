@@ -127,20 +127,13 @@ func RunSharded(t topology.Topology, flows []traffic.Flow, cfg Config, opts Shar
 	drain := func(s int, end float64) {
 		ps := shardsArr[s]
 		w := &ps.win
-		q := &w.q
 		fs := ps.fs
-		// The tallies live in locals for the whole drain and fold into the
-		// shard once at the window edge: at one shard the drain is the entire
-		// run, and this keeps its per-event bookkeeping off the heap.
-		var processed int64
-		delivered, dropped, droppedFault := ps.delivered, ps.dropped, ps.droppedFault
-		makespan, latencies := ps.makespan, ps.latencies
-		for q.Len() > 0 {
-			if t, _, _ := q.Peek(); t >= end {
-				break
+		for w.q.Len() > 0 {
+			if t, _, _ := w.q.Peek(); t >= end {
+				return
 			}
-			now, _, ev := q.Pop()
-			processed++
+			now, _, ev := w.q.Pop()
+			w.processed++
 			if ev.flow < 0 {
 				fs.apply(now, int(ev.pn))
 				continue
@@ -151,18 +144,18 @@ func RunSharded(t topology.Topology, flows []traffic.Flow, cfg Config, opts Shar
 				// The packet just left its source: queue the flow's next
 				// injection (always local — same source node).
 				pn := ev.pn + 1
-				q.Push(flows[fi].StartSec+float64(pn)*gap, base[fi]+int64(pn),
+				w.q.Push(flows[fi].StartSec+float64(pn)*gap, base[fi]+int64(pn),
 					simEvent{flow: ev.flow, pn: pn, idx: 0})
 			}
 			idx := int(ev.idx)
 			pid := base[fi] + int64(ev.pn)
 			if idx == len(path)-1 {
 				sentAt := flows[fi].StartSec + float64(ev.pn)*gap
-				delivered++
+				ps.delivered++
 				lat := now - sentAt
-				latencies = append(latencies, lat)
-				if now > makespan {
-					makespan = now
+				ps.latencies = append(ps.latencies, lat)
+				if now > ps.makespan {
+					ps.makespan = now
 				}
 				cDelivered.Inc()
 				hHops.Observe(int64(len(path) - 1))
@@ -182,7 +175,7 @@ func RunSharded(t topology.Topology, flows []traffic.Flow, cfg Config, opts Shar
 			}
 			r := plan.flowRes(fi)[idx]
 			if fs != nil && !fs.hopAlive(path[idx], path[idx+1], r) {
-				droppedFault++
+				ps.droppedFault++
 				cFault.Inc()
 				fs.cur.DroppedFault++
 				if st.armed {
@@ -202,7 +195,7 @@ func RunSharded(t topology.Topology, flows []traffic.Flow, cfg Config, opts Shar
 				st.queue.Add(int64(now*1e9), int64(math.Max(backlog, 0)))
 			}
 			if backlog > float64(cfg.QueueLimitPackets) {
-				dropped++
+				ps.dropped++
 				cDropped.Inc()
 				if fs != nil {
 					fs.cur.DroppedTail++
@@ -232,9 +225,6 @@ func RunSharded(t topology.Topology, flows []traffic.Flow, cfg Config, opts Shar
 			w.push(dst, s, done+cfg.LinkDelaySec, pid,
 				simEvent{flow: ev.flow, pn: ev.pn, idx: ev.idx + 1})
 		}
-		w.processed += processed
-		ps.delivered, ps.dropped, ps.droppedFault = delivered, dropped, droppedFault
-		ps.makespan, ps.latencies = makespan, latencies
 	}
 
 	driver := newShardDriver(numShards, workers, cfg.Metrics, cfg.Trace, opts.Profile)
