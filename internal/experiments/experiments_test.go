@@ -10,7 +10,7 @@ import (
 func TestAllExperimentsRunAndProduceOutput(t *testing.T) {
 	r := serialRender(t)
 	for i, e := range All() {
-		e, sec := e, r.sections[i]
+		sec := r.sections[i]
 		t.Run(e.ID, func(t *testing.T) {
 			if sec == nil {
 				t.Fatalf("%s: section missing from the suite render", e.ID)

@@ -55,34 +55,16 @@ func sectionHeader(e Experiment) string {
 	return fmt.Sprintf("== %s: %s ==\n", e.ID, e.Title)
 }
 
-// splitSections cuts RunAll output at the known section headers, searched
-// in presentation order. A section whose header is absent stays nil.
+// splitSections cuts RunAll output back into per-experiment sections at the
+// known headers, working back from the last one. A section whose header is
+// absent stays nil.
 func splitSections(out []byte) [][]byte {
 	all := All()
-	starts := make([]int, len(all))
-	pos := 0
-	for i, e := range all {
-		j := bytes.Index(out[pos:], []byte(sectionHeader(e)))
-		if j < 0 {
-			starts[i] = -1
-			continue
-		}
-		starts[i] = pos + j
-		pos = starts[i] + len(sectionHeader(e))
-	}
 	sections := make([][]byte, len(all))
-	for i, s := range starts {
-		if s < 0 {
-			continue
+	for i := len(all) - 1; i >= 0; i-- {
+		if j := bytes.LastIndex(out, []byte(sectionHeader(all[i]))); j >= 0 {
+			sections[i], out = out[j:], out[:j]
 		}
-		end := len(out)
-		for _, next := range starts[i+1:] {
-			if next >= 0 {
-				end = next
-				break
-			}
-		}
-		sections[i] = out[s:end]
 	}
 	return sections
 }
