@@ -113,11 +113,11 @@ func TestRunMatchesReferenceEngine(t *testing.T) {
 	for cname, mk := range cfgs {
 		for _, tc := range equivCases(t) {
 			t.Run(cname+"/"+tc.name, func(t *testing.T) {
-				want, err := referenceRun(tc.topo, tc.flows, mk())
+				got, err := Run(tc.topo, tc.flows, mk())
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := Run(tc.topo, tc.flows, mk())
+				want, err := referenceRun(tc.topo, tc.flows, mk())
 				if err != nil {
 					t.Fatal(err)
 				}

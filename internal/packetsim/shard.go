@@ -474,11 +474,10 @@ func finishShardTimelines(dst *Timeline, states []*faultState, makespanSec float
 
 // mergeLatencies concatenates the shards' delivery-latency samples (a single
 // part is sorted in place, not copied), sorts them, and returns the mean and
-// nearest-rank p99. Sorting first makes both
-// numbers independent of how deliveries were distributed across shards: the
-// multiset is identical for every shard count, the quantile is an order
-// statistic, and summing in ascending order fixes the float accumulation
-// order bit for bit. It reuses quantile's nearestRankIndex so the merged and
+// nearest-rank p99. Sorting first makes both numbers independent of how
+// deliveries were distributed across shards: the multiset is identical for
+// every shard count, the quantile is an order statistic, and summing in
+// ascending order fixes the float accumulation order bit for bit. It reuses quantile's nearestRankIndex so the merged and
 // single-slice quantile definitions can never drift apart.
 func mergeLatencies(parts [][]float64) (avg, p99 float64) {
 	n := 0
