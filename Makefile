@@ -13,7 +13,8 @@
 #                multipath-transport conservation invariants for a few
 #                seconds each (FuzzFaultPlanConservation drives the
 #                one-shard packet engine, packetsim.Run; FuzzShardConservation
-#                the multi-shard one)
+#                the multi-shard one), and the batched event queue against
+#                the 4-ary heap (FuzzBatchedMatchesHeap: identical pops)
 #   make bench-scale  quick sharded-engine scaling sweep (1k servers); the
 #                full 1k/10k/100k sweep is `cmd/benchsuite -scale`, recorded
 #                as BENCH_pr6.json
@@ -59,6 +60,7 @@ bench:
 	$(GO) test -bench=MaxMin -benchmem -run XXX ./internal/flowsim
 	$(GO) test -bench=. -benchmem -run XXX ./internal/obs
 	$(GO) test -bench=BenchmarkRun -benchmem -run XXX ./internal/packetsim ./internal/emu
+	$(GO) test -bench=. -benchmem -run XXX ./internal/eventq
 
 # The 10x threshold only catches order-of-magnitude blowups: CI machines are
 # shared and noisy, so a tight gate would flake. Use `cmd/benchsuite
@@ -76,6 +78,7 @@ fuzz-smoke:
 	$(GO) test ./internal/packetsim -run XXX -fuzz FuzzMultipathConservation -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/packetsim -run XXX -fuzz FuzzShardConservation -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/svc -run XXX -fuzz FuzzSvcConservation -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/eventq -run XXX -fuzz FuzzBatchedMatchesHeap -fuzztime $(FUZZTIME)
 
 # Equivalence first (the engines must agree message-for-message on
 # overflow-free configs), then throughput: a fresh 1k sweep must not lose

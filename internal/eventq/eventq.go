@@ -1,8 +1,20 @@
-// Package eventq provides the discrete-event priority queue shared by the
-// packet-level simulators: a 4-ary min-heap of inline (time, seq, payload)
-// entries ordered by time with a sequence-number tiebreak.
+// Package eventq provides the discrete-event priority queues shared by the
+// packet-level simulators. Both pop in exact (time, then seq) order:
 //
-// Compared with container/heap it removes two costs from the simulators'
+//   - Queue is a 4-ary min-heap of inline (time, seq, payload) entries. The
+//     transport engines (packetsim.RunTransport, TransportEngine and
+//     RunTransportSharded) use it: their events rarely share a time. Over
+//     the F30 retry-storm cells of the svc-storm benchmark at seed 1, 58.1M
+//     pops fall on 52.8M distinct times, 1.1 events per time.
+//   - Batched keys its heap on time alone and keeps the events that share a
+//     time in one bucket, sorting them by seq once when the time reaches the
+//     front. The datagram engine (packetsim.Run and RunSharded) uses it: its
+//     fixed-size packets cross identical links, so event times fall on a
+//     grid. The 12,288-server permutation of the permutation-10k benchmark
+//     at seed 1 pops 1,505,350 events over 2,667 distinct times, about 564
+//     per time.
+//
+// Compared with container/heap, Queue removes two costs from the simulators'
 // inner loops: the interface boxing allocation on every Push/Pop (heap.Push
 // takes `any`, so every event escapes), and one level of pointer chasing per
 // comparison. The 4-ary layout halves tree height versus a binary heap, so
@@ -12,8 +24,8 @@
 // Because (time, seq) is a strict total order whenever callers hand out
 // unique sequence numbers, pop order is fully determined by the pushed keys:
 // two simulators pushing the same keyed events pop them identically no
-// matter how their pushes interleave. The simulator equivalence tests lean
-// on exactly this property.
+// matter how their pushes interleave or which of the two queues holds them.
+// The simulator equivalence tests lean on exactly this property.
 package eventq
 
 // Queue is a min-heap of T payloads keyed by (time, then seq). The zero

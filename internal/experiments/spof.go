@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dcell"
 	"repro/internal/fattree"
-	"repro/internal/graph"
 	"repro/internal/topology"
 )
 
@@ -35,13 +34,20 @@ func F22SinglePointsOfFailure(w io.Writer) error {
 	fmt.Fprintln(tw, "structure\tservers\tswitches\tAP servers\tAP switches\thosts behind an AP\tbridge cables")
 	for _, b := range builds {
 		net := b.t.Network()
+		g := net.Graph()
+		// Only cuts that separate *server* pairs matter for the SPOF story
+		// (removing an r=1 server merely orphans its stub local switch), so
+		// servers weigh 1 and switches 0: a node or cable counts when its
+		// loss disconnects some server pair.
+		weight := make([]int64, g.NumNodes())
+		for _, s := range net.Servers() {
+			weight[s] = 1
+		}
+		nodeImpact, edgeImpact := g.CutImpact(nil, weight)
 		apServers, apSwitches := 0, 0
 		exposed := 0
-		// Only articulation points that separate *server* pairs matter for
-		// the SPOF story (removing an r=1 server merely orphans its stub
-		// local switch).
-		for _, v := range net.Graph().ArticulationPoints() {
-			if !severs(net, v) {
+		for v, impact := range nodeImpact {
+			if impact <= 0 {
 				continue
 			}
 			if net.IsServer(v) {
@@ -50,8 +56,8 @@ func F22SinglePointsOfFailure(w io.Writer) error {
 			}
 			apSwitches++
 			// Hosts severed if this switch dies: its single-homed neighbors.
-			for _, nb := range net.Graph().Neighbors(v, nil) {
-				if net.IsServer(nb) && net.Graph().Degree(nb) == 1 {
+			for _, nb := range g.Neighbors(v, nil) {
+				if net.IsServer(nb) && g.Degree(nb) == 1 {
 					exposed++
 				}
 			}
@@ -61,8 +67,8 @@ func F22SinglePointsOfFailure(w io.Writer) error {
 		// an r = 1 ABCCC's stub local-switch cables are bridges of the
 		// graph but sever no server pair).
 		bridges := 0
-		for _, e := range net.Graph().Bridges() {
-			if seversEdge(net, e) {
+		for _, impact := range edgeImpact {
+			if impact > 0 {
 				bridges++
 			}
 		}
@@ -70,42 +76,4 @@ func F22SinglePointsOfFailure(w io.Writer) error {
 			b.name, net.NumServers(), net.NumSwitches(), apServers, apSwitches, exposed, bridges)
 	}
 	return tw.Flush()
-}
-
-// seversEdge reports whether failing cable e disconnects some server pair.
-func seversEdge(net *topology.Network, e int) bool {
-	view := graph.NewView(net.Graph())
-	view.FailEdge(e)
-	servers := net.Servers()
-	res := net.Graph().BFS(servers[0], view)
-	for _, s := range servers {
-		if res.Dist[s] == graph.Unreachable {
-			return true
-		}
-	}
-	return false
-}
-
-// severs reports whether failing node v disconnects some pair of servers
-// (other than v itself).
-func severs(net *topology.Network, v int) bool {
-	view := graph.NewView(net.Graph())
-	view.FailNode(v)
-	src := -1
-	for _, s := range net.Servers() {
-		if s != v {
-			src = s
-			break
-		}
-	}
-	if src == -1 {
-		return false
-	}
-	res := net.Graph().BFS(src, view)
-	for _, s := range net.Servers() {
-		if s != v && res.Dist[s] == graph.Unreachable {
-			return true
-		}
-	}
-	return false
 }

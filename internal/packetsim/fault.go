@@ -1,5 +1,5 @@
 // Live fault injection for the discrete-event engines. A failure.FaultPlan
-// rides the same eventq heap as packet events: every scheduled down/up
+// rides the same eventq queue as packet events: every scheduled down/up
 // transition pops as an event, flips the run's graph.View, and opens a new
 // epoch. Packets whose next hop touches a dead component drop with the
 // DropCauseFault cause; the transport engine additionally reroutes timed-out

@@ -9,18 +9,25 @@
 // what the figures compare.
 //
 // The event core is built for sweep-heavy evaluation: events are unboxed
-// values on a 4-ary eventq.Queue (no allocation per event), routes are
-// compiled once per (topology, workload) into flat link-resource arrays and
-// cached across runs, and packets are injected lazily — one pending event
-// per flow instead of materializing every packet up front — so the heap
-// stays O(flows + in-flight) no matter how heavy the workload. The datagram
-// model has one event loop, the sharded one in shardrun.go; Run is its
-// one-shard case. The pre-overhaul engines survive in reference.go as the
-// oracle the equivalence tests pin these results against, event for event.
+// values in an eventq queue (no allocation per event), routes are compiled
+// once per (topology, workload) into flat link-resource arrays and cached
+// across runs, and packets are injected lazily — one pending event per flow
+// instead of materializing every packet up front — so the queue stays
+// O(flows + in-flight) no matter how heavy the workload. The datagram model
+// has one event loop, the sharded one in shardrun.go; Run is its one-shard
+// case. Its fixed-size packets cross identical links, so its event times
+// fall on a grid (a 12,288-server permutation pops about 564 events per
+// distinct time), and it runs on eventq.Batched, which sorts each time's
+// events once instead of sifting every event through a heap. The transport
+// engines' events rarely share a time (about 1.1 per time in the F30 storm
+// cells), so they keep the 4-ary eventq.Queue. The pre-overhaul engines
+// survive in reference.go, on container/heap, as the oracle the equivalence
+// tests pin these results against, event for event.
 package packetsim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/failure"
 	"repro/internal/obs"
@@ -93,8 +100,11 @@ func Default() Config {
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
-	if c.LinkBandwidthBps <= 0 || c.FlowRateBps <= 0 {
-		return fmt.Errorf("packetsim: bandwidth and flow rate must be positive")
+	// Written as !(x > 0) so NaN fails too: a NaN or infinite rate or delay
+	// makes event times NaN or infinite, and the queues cannot order NaN.
+	if !(c.LinkBandwidthBps > 0) || math.IsInf(c.LinkBandwidthBps, 0) ||
+		!(c.FlowRateBps > 0) || math.IsInf(c.FlowRateBps, 0) {
+		return fmt.Errorf("packetsim: bandwidth and flow rate must be positive and finite")
 	}
 	if c.MTU <= 0 {
 		return fmt.Errorf("packetsim: MTU must be positive")
@@ -102,8 +112,8 @@ func (c Config) Validate() error {
 	if c.QueueLimitPackets < 1 {
 		return fmt.Errorf("packetsim: queue limit must be >= 1")
 	}
-	if c.LinkDelaySec < 0 {
-		return fmt.Errorf("packetsim: negative link delay")
+	if !(c.LinkDelaySec >= 0) || math.IsInf(c.LinkDelaySec, 0) {
+		return fmt.Errorf("packetsim: link delay must be finite and non-negative")
 	}
 	return nil
 }
@@ -136,9 +146,10 @@ func (r Result) DropRate() float64 {
 // position idx of its path. idx == 0 means the packet is being injected at
 // its source (forwarded arrivals always have idx >= 1), which doubles as
 // the cue to schedule the flow's next injection. The packet's send time and
-// trace id derive from (flow, pn), so the event carries no pointers and a
-// Push/Pop moves 16 bytes inline through the heap. A negative flow marks a
-// fault-plan event instead: pn indexes the plan and idx is unused.
+// trace id derive from (flow, pn), so the event is 12 bytes with no
+// pointers: with its time and seq key, a heap entry is 32 bytes, and an
+// event in one of eventq.Batched's same-time buckets is 24. A negative flow
+// marks a fault-plan event instead: pn indexes the plan and idx is unused.
 type simEvent struct {
 	flow int32
 	pn   int32 // packet number within the flow

@@ -26,6 +26,16 @@ func TestConfigValidate(t *testing.T) {
 		{name: "zero mtu", mutate: func(c *Config) { c.MTU = 0 }, wantErr: true},
 		{name: "zero queue", mutate: func(c *Config) { c.QueueLimitPackets = 0 }, wantErr: true},
 		{name: "negative delay", mutate: func(c *Config) { c.LinkDelaySec = -1 }, wantErr: true},
+		{name: "zero delay ok", mutate: func(c *Config) { c.LinkDelaySec = 0 }},
+		{name: "NaN bandwidth", mutate: func(c *Config) { c.LinkBandwidthBps = math.NaN() }, wantErr: true},
+		{name: "+Inf bandwidth", mutate: func(c *Config) { c.LinkBandwidthBps = math.Inf(1) }, wantErr: true},
+		{name: "-Inf bandwidth", mutate: func(c *Config) { c.LinkBandwidthBps = math.Inf(-1) }, wantErr: true},
+		{name: "NaN flow rate", mutate: func(c *Config) { c.FlowRateBps = math.NaN() }, wantErr: true},
+		{name: "+Inf flow rate", mutate: func(c *Config) { c.FlowRateBps = math.Inf(1) }, wantErr: true},
+		{name: "-Inf flow rate", mutate: func(c *Config) { c.FlowRateBps = math.Inf(-1) }, wantErr: true},
+		{name: "NaN delay", mutate: func(c *Config) { c.LinkDelaySec = math.NaN() }, wantErr: true},
+		{name: "+Inf delay", mutate: func(c *Config) { c.LinkDelaySec = math.Inf(1) }, wantErr: true},
+		{name: "-Inf delay", mutate: func(c *Config) { c.LinkDelaySec = math.Inf(-1) }, wantErr: true},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -6,9 +6,10 @@ package packetsim
 // nearest-rank p99 fix (applied to both engines so the comparison is about
 // the event machinery, not the quantile formula). They exist only as the
 // oracle for the equivalence tests and the baseline for the engine
-// benchmarks: the production engines compile routes once and drive an
-// unboxed 4-ary eventq.Queue with lazy packet injection, and the tests pin
-// their Result/TransportResult byte-identical to these.
+// benchmarks: the production engines compile routes once and drive unboxed
+// eventq queues (eventq.Batched for the datagram engine, the 4-ary
+// eventq.Queue for the transport engines) with lazy packet injection, and
+// the tests pin their Result/TransportResult byte-identical to these.
 //
 // referenceRun also carries the datagram engine's content-keyed semantics,
 // so it is an oracle for Run and RunSharded at any shard count: a forwarded

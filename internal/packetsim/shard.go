@@ -20,7 +20,7 @@
 // # Determinism
 //
 // Event keys are content-derived (packet identity, not push order), so each
-// shard's heap pops in an order fixed by the workload alone, and all events
+// shard's queue pops in an order fixed by the workload alone, and all events
 // touching one link resource are processed on its owner shard in global
 // (time, key) order no matter how many shards exist. Commutative aggregates
 // (counts, maxima) merge trivially; float aggregates (latency sums,
@@ -40,7 +40,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/eventq"
 	"repro/internal/failure"
 	"repro/internal/obs"
 	"repro/internal/topology"
@@ -164,22 +163,29 @@ type handoff[T any] struct {
 	ev   T
 }
 
+// eventQueue is what the window loop needs of a shard's event queue. The
+// datagram engine's shards hold an eventq.Batched and the transport's an
+// eventq.Queue; each drain calls its own concrete queue per event, so only
+// the loop's per-window calls go through this interface.
+type eventQueue[T any] interface {
+	Len() int
+	Peek() (time float64, seq int64, v T)
+	Push(time float64, seq int64, v T)
+	Grow(n int)
+}
+
 // windowShard is the per-shard queue state the window loop drives.
 type windowShard[T any] struct {
-	q eventq.Queue[T]
+	q eventQueue[T]
 	// out[dst] collects this shard's cross-shard pushes for the window.
 	out [][]handoff[T]
 	// processed counts events drained in the current window.
 	processed int64
 }
 
-// push routes an event to its destination shard: local events enter the heap
-// directly, remote ones wait in the outbox for the window barrier.
-func (w *windowShard[T]) push(dst, self int, time float64, key int64, ev T) {
-	if dst == self {
-		w.q.Push(time, key, ev)
-		return
-	}
+// send queues an event for shard dst, which receives it at the window
+// barrier. Local events go straight onto the shard's own queue instead.
+func (w *windowShard[T]) send(dst int, time float64, key int64, ev T) {
 	w.out[dst] = append(w.out[dst], handoff[T]{time: time, key: key, ev: ev})
 }
 
@@ -227,7 +233,7 @@ func newShardDriver(shards, workers int, metrics *obs.Registry, tracer *obs.Trac
 	return d
 }
 
-// runWindows drives the conservative loop until every shard heap drains.
+// runWindows drives the conservative loop until every shard queue drains.
 // drain(s, end) must process shard s's local events with time < end in
 // (time, key) order, routing pushes through windowShard.push and adding to
 // processed. budget > 0 aborts the run once the total processed event count
@@ -252,7 +258,7 @@ func runWindows[T any](d *shardDriver, shards []*windowShard[T], lookahead float
 			}
 		}
 		if math.IsInf(minT, 1) {
-			return nil // every heap is dry: the run is over
+			return nil // every queue is dry: the run is over
 		}
 		// The window edge must sit at or below every cross-shard arrival a
 		// drained event can generate. Mathematically that is minT + lookahead,
@@ -317,7 +323,7 @@ func runWindows[T any](d *shardDriver, shards []*windowShard[T], lookahead float
 		winIdx++
 
 		// Exchange phase: each destination drains every source's outbox into
-		// its heap. Push order cannot affect pop order (keys are a strict
+		// its queue. Push order cannot affect pop order (keys are a strict
 		// total order), and the barrier between phases makes the cross-shard
 		// reads race-free.
 		d.pool.forEach(len(shards), func(dst int) {

@@ -1,7 +1,7 @@
 // The datagram packet engine, partitioned by topology shard and driven by the
 // conservative window loop in shard.go. Each shard owns the nodes
 // topology.ShardNodes assigns it, the directed link resources whose
-// transmitter it owns, and its own event heap; packets hop between shards as
+// transmitter it owns, and its own event queue; packets hop between shards as
 // barrier-exchanged handoffs. Run is the one-shard case.
 
 package packetsim
@@ -15,9 +15,10 @@ import (
 	"repro/internal/traffic"
 )
 
-// pktShard is one shard of the packet engine: its heap plus the run tallies
-// it accumulates locally and the merge step folds together.
+// pktShard is one shard of the packet engine: its event queue plus the run
+// tallies it accumulates locally and the merge step folds together.
 type pktShard struct {
+	q   eventq.Batched[simEvent]
 	win windowShard[simEvent]
 	fs  *faultState
 
@@ -59,7 +60,7 @@ func RunSharded(t topology.Topology, flows []traffic.Flow, cfg Config, opts Shar
 	winArr := make([]*windowShard[simEvent], numShards)
 	for s := range shardsArr {
 		ps := &pktShard{}
-		ps.win.q = *eventq.New[simEvent](64)
+		ps.win.q = &ps.q
 		ps.win.out = make([][]handoff[simEvent], numShards)
 		shardsArr[s] = ps
 		winArr[s] = &ps.win
@@ -81,7 +82,7 @@ func RunSharded(t topology.Topology, flows []traffic.Flow, cfg Config, opts Shar
 		totalPackets += int64(packets[i])
 		if packets[i] > 0 {
 			src := int(nodeShard[plan.paths[i][0]])
-			shardsArr[src].win.q.Push(f.StartSec, base[i], simEvent{flow: int32(i), pn: 0, idx: 0})
+			shardsArr[src].q.Push(f.StartSec, base[i], simEvent{flow: int32(i), pn: 0, idx: 0})
 		}
 	}
 	// An even share of the offered packets per shard: at one shard the
@@ -102,7 +103,7 @@ func RunSharded(t topology.Topology, flows []traffic.Flow, cfg Config, opts Shar
 		}
 		for s, ps := range shardsArr {
 			for i, fe := range cfg.Faults.Events {
-				ps.win.q.Push(fe.TimeSec, int64(i)-int64(len(cfg.Faults.Events)),
+				ps.q.Push(fe.TimeSec, int64(i)-int64(len(cfg.Faults.Events)),
 					simEvent{flow: -1, pn: int32(i)})
 			}
 			ps.fs = faultStates[s]
@@ -126,13 +127,13 @@ func RunSharded(t topology.Topology, flows []traffic.Flow, cfg Config, opts Shar
 
 	drain := func(s int, end float64) {
 		ps := shardsArr[s]
-		w := &ps.win
+		q, w := &ps.q, &ps.win
 		fs := ps.fs
-		for w.q.Len() > 0 {
-			if t, _, _ := w.q.Peek(); t >= end {
+		for q.Len() > 0 {
+			if t, _, _ := q.Peek(); t >= end {
 				return
 			}
-			now, _, ev := w.q.Pop()
+			now, _, ev := q.Pop()
 			w.processed++
 			if ev.flow < 0 {
 				fs.apply(now, int(ev.pn))
@@ -144,7 +145,7 @@ func RunSharded(t topology.Topology, flows []traffic.Flow, cfg Config, opts Shar
 				// The packet just left its source: queue the flow's next
 				// injection (always local — same source node).
 				pn := ev.pn + 1
-				w.q.Push(flows[fi].StartSec+float64(pn)*gap, base[fi]+int64(pn),
+				q.Push(flows[fi].StartSec+float64(pn)*gap, base[fi]+int64(pn),
 					simEvent{flow: ev.flow, pn: pn, idx: 0})
 			}
 			idx := int(ev.idx)
@@ -222,8 +223,12 @@ func RunSharded(t topology.Topology, flows []traffic.Flow, cfg Config, opts Shar
 			if numShards > 1 {
 				dst = int(nodeShard[path[idx+1]])
 			}
-			w.push(dst, s, done+cfg.LinkDelaySec, pid,
-				simEvent{flow: ev.flow, pn: ev.pn, idx: ev.idx + 1})
+			next := simEvent{flow: ev.flow, pn: ev.pn, idx: ev.idx + 1}
+			if dst == s {
+				q.Push(done+cfg.LinkDelaySec, pid, next)
+			} else {
+				w.send(dst, done+cfg.LinkDelaySec, pid, next)
+			}
 		}
 	}
 

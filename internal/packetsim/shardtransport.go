@@ -111,6 +111,7 @@ type stflow struct {
 // local tallies.
 type stShard struct {
 	id  int
+	q   eventq.Queue[stevent]
 	win windowShard[stevent]
 	fs  *faultState
 	now float64
@@ -226,8 +227,8 @@ func RunTransportSharded(t topology.Topology, flows []traffic.Flow, cfg Transpor
 	winArr := make([]*windowShard[stevent], numShards)
 	run.localFlows = make([][]int32, numShards)
 	for s := range run.shards {
-		sh := &stShard{id: s}
-		sh.win.q = *eventq.New[stevent](64)
+		sh := &stShard{id: s, q: *eventq.New[stevent](64)}
+		sh.win.q = &sh.q
 		sh.win.out = make([][]handoff[stevent], numShards)
 		run.shards[s] = sh
 		winArr[s] = &sh.win
@@ -273,7 +274,7 @@ func RunTransportSharded(t topology.Topology, flows []traffic.Flow, cfg Transpor
 		s := int(f.srcShard)
 		run.localFlows[s] = append(run.localFlows[s], int32(k))
 		// Flows open at their arrival time, on their source shard.
-		run.shards[s].win.q.Push(f.start, int64(k), stevent{flow: int32(k), kind: tevStart})
+		run.shards[s].q.Push(f.start, int64(k), stevent{flow: int32(k), kind: tevStart})
 	}
 
 	// Fault plans replicate into every shard's queue (negative keys: a
@@ -289,7 +290,7 @@ func RunTransportSharded(t topology.Topology, flows []traffic.Flow, cfg Transpor
 		run.frouter, _ = t.(topology.FaultRouter)
 		for s, sh := range run.shards {
 			for i, fe := range cfg.Faults.Events {
-				sh.win.q.Push(fe.TimeSec, int64(i)-int64(len(cfg.Faults.Events)),
+				sh.q.Push(fe.TimeSec, int64(i)-int64(len(cfg.Faults.Events)),
 					stevent{kind: tevFault, seq: int32(i)})
 			}
 			sh.fs = faultStates[s]
@@ -306,11 +307,11 @@ func RunTransportSharded(t topology.Topology, flows []traffic.Flow, cfg Transpor
 
 	drain := func(s int, end float64) {
 		sh := run.shards[s]
-		for sh.win.q.Len() > 0 {
-			if t, _, _ := sh.win.q.Peek(); t >= end {
+		for sh.q.Len() > 0 {
+			if t, _, _ := sh.q.Peek(); t >= end {
 				return
 			}
-			now, _, ev := sh.win.q.Pop()
+			now, _, ev := sh.q.Pop()
 			sh.win.processed++
 			sh.now = now
 			switch ev.kind {
@@ -359,8 +360,7 @@ func (r *stRun) armTimer(sh *stShard, flow int) {
 	f := &r.flows[flow]
 	f.timerGen++
 	key := stTimerKeyBase + int64(f.timerGen)*r.nf + int64(flow)
-	sh.win.push(sh.id, sh.id, sh.now+f.rto,
-		key, stevent{flow: int32(flow), gen: f.timerGen, kind: tevTimer})
+	sh.q.Push(sh.now+f.rto, key, stevent{flow: int32(flow), gen: f.timerGen, kind: tevTimer})
 }
 
 // sendData launches one data-packet journey on the flow's active path.
@@ -458,7 +458,11 @@ func (r *stRun) transmit(sh *stShard, ev stevent, idx int) {
 	done := start + txTime
 	r.linkFree[res] = done
 	ev.idx = int16(idx + 1)
-	sh.win.push(int(r.nodeShard[v]), sh.id, done+r.cfg.Link.LinkDelaySec, ev.key, ev)
+	if dst := int(r.nodeShard[v]); dst == sh.id {
+		sh.q.Push(done+r.cfg.Link.LinkDelaySec, ev.key, ev)
+	} else {
+		sh.win.send(dst, done+r.cfg.Link.LinkDelaySec, ev.key, ev)
+	}
 }
 
 // onArrival advances a packet along its carried path or hands it to the
@@ -705,8 +709,8 @@ func (r *stRun) probation(sh *stShard, flow, j int) {
 	f.probing[j] = true
 	f.probeGen[j]++
 	key := stProbeKeyBase + (int64(f.probeGen[j])*int64(r.mpK+1)+int64(j))*r.nf + int64(flow)
-	sh.win.push(sh.id, sh.id, sh.now+f.backoff[j],
-		key, stevent{flow: int32(flow), seq: int32(j), gen: f.probeGen[j], kind: tevProbe})
+	sh.q.Push(sh.now+f.backoff[j], key,
+		stevent{flow: int32(flow), seq: int32(j), gen: f.probeGen[j], kind: tevProbe})
 	f.backoff[j] = math.Min(f.backoff[j]*2, 64*r.cfg.RTOSec)
 }
 
@@ -746,8 +750,8 @@ func (r *stRun) onProbe(sh *stShard, flow, j int, gen int32) {
 	}
 	f.probeGen[j]++
 	key := stProbeKeyBase + (int64(f.probeGen[j])*int64(r.mpK+1)+int64(j))*r.nf + int64(flow)
-	sh.win.push(sh.id, sh.id, sh.now+f.backoff[j],
-		key, stevent{flow: int32(flow), seq: int32(j), gen: f.probeGen[j], kind: tevProbe})
+	sh.q.Push(sh.now+f.backoff[j], key,
+		stevent{flow: int32(flow), seq: int32(j), gen: f.probeGen[j], kind: tevProbe})
 	f.backoff[j] = math.Min(f.backoff[j]*2, 64*r.cfg.RTOSec)
 }
 

@@ -107,8 +107,8 @@ func (c TransportConfig) Validate() error {
 	if c.AckBytes <= 0 || c.InitCwnd < 1 || c.MaxCwnd < c.InitCwnd {
 		return fmt.Errorf("packetsim: transport window/ack parameters invalid")
 	}
-	if c.RTOSec <= 0 {
-		return fmt.Errorf("packetsim: RTO must be positive")
+	if !(c.RTOSec > 0) || math.IsInf(c.RTOSec, 0) {
+		return fmt.Errorf("packetsim: RTO must be positive and finite")
 	}
 	if c.DupAckThreshold < 1 {
 		return fmt.Errorf("packetsim: dup-ack threshold must be >= 1")

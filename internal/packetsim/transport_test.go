@@ -1,6 +1,7 @@
 package packetsim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -20,6 +21,9 @@ func TestTransportConfigValidate(t *testing.T) {
 		{name: "tiny cwnd", mutate: func(c *TransportConfig) { c.InitCwnd = 0 }, wantErr: true},
 		{name: "max below init", mutate: func(c *TransportConfig) { c.MaxCwnd = 1 }, wantErr: true},
 		{name: "zero rto", mutate: func(c *TransportConfig) { c.RTOSec = 0 }, wantErr: true},
+		{name: "NaN rto", mutate: func(c *TransportConfig) { c.RTOSec = math.NaN() }, wantErr: true},
+		{name: "+Inf rto", mutate: func(c *TransportConfig) { c.RTOSec = math.Inf(1) }, wantErr: true},
+		{name: "NaN link delay", mutate: func(c *TransportConfig) { c.Link.LinkDelaySec = math.NaN() }, wantErr: true},
 		{name: "zero dupack", mutate: func(c *TransportConfig) { c.DupAckThreshold = 0 }, wantErr: true},
 		{name: "tiny events", mutate: func(c *TransportConfig) { c.MaxEvents = 10 }, wantErr: true},
 	}
