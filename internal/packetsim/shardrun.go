@@ -48,6 +48,21 @@ func RunSharded(t topology.Topology, flows []traffic.Flow, cfg Config, opts Shar
 	net := t.Network()
 	numShards, workers := opts.normalized(net.Graph().NumNodes())
 	nodeShard := topology.ShardNodes(t, numShards)
+	// resShard[r] is the shard that owns the receiver of directed resource
+	// r (2e for the hop U->V of edge e when U < V, 2e+1 the other way), so
+	// a hop finds its next owner from the resource it already holds. Reading
+	// the next node from the flow's path instead costs a cache miss per
+	// forwarded packet, since every path is its own allocation.
+	var resShard []int32
+	if numShards > 1 {
+		g := net.Graph()
+		resShard = make([]int32, plan.numRes)
+		for e := range g.NumEdges() {
+			ed := g.Edge(e)
+			resShard[2*e] = nodeShard[max(ed.U, ed.V)]
+			resShard[2*e+1] = nodeShard[min(ed.U, ed.V)]
+		}
+	}
 
 	txTime := float64(cfg.MTU) / cfg.LinkBandwidthBps
 	gap := float64(cfg.MTU) / cfg.FlowRateBps
@@ -221,7 +236,7 @@ func RunSharded(t topology.Topology, flows []traffic.Flow, cfg Config, opts Shar
 			// measurable share of the one-shard run's forwarding cost.
 			dst := s
 			if numShards > 1 {
-				dst = int(nodeShard[path[idx+1]])
+				dst = int(resShard[r])
 			}
 			next := simEvent{flow: ev.flow, pn: ev.pn, idx: ev.idx + 1}
 			if dst == s {
