@@ -14,7 +14,9 @@
 #                seconds each (FuzzFaultPlanConservation drives the
 #                one-shard packet engine, packetsim.Run; FuzzShardConservation
 #                the multi-shard one), and the batched event queue against
-#                the 4-ary heap (FuzzBatchedMatchesHeap: identical pops)
+#                the 4-ary heap (FuzzBatchedMatchesHeap: identical pops), and
+#                the transport engine's three-part queue against one heap
+#                (FuzzTransportQueueMatchesHeap: identical pops)
 #   make bench-scale  quick sharded-engine scaling sweep (1k servers); the
 #                full 1k/10k/100k sweep is `cmd/benchsuite -scale`, recorded
 #                as BENCH_pr6.json
@@ -59,7 +61,8 @@ bench:
 	$(GO) test -bench=. -benchmem -run XXX .
 	$(GO) test -bench=MaxMin -benchmem -run XXX ./internal/flowsim
 	$(GO) test -bench=. -benchmem -run XXX ./internal/obs
-	$(GO) test -bench=BenchmarkRun -benchmem -run XXX ./internal/packetsim ./internal/emu
+	$(GO) test -bench='BenchmarkRun|BenchmarkTransport' -benchmem -run XXX ./internal/packetsim
+	$(GO) test -bench=BenchmarkRun -benchmem -run XXX ./internal/emu ./internal/svc
 	$(GO) test -bench=. -benchmem -run XXX ./internal/eventq
 
 # The 10x threshold only catches order-of-magnitude blowups: CI machines are
@@ -79,6 +82,7 @@ fuzz-smoke:
 	$(GO) test ./internal/packetsim -run XXX -fuzz FuzzShardConservation -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/svc -run XXX -fuzz FuzzSvcConservation -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eventq -run XXX -fuzz FuzzBatchedMatchesHeap -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/packetsim -run XXX -fuzz FuzzTransportQueueMatchesHeap -fuzztime $(FUZZTIME)
 
 # Equivalence first (the engines must agree message-for-message on
 # overflow-free configs), then throughput: a fresh 1k sweep must not lose

@@ -64,7 +64,10 @@ func (e *TransportEngine) Schedule(atSec float64, fn func(nowSec float64)) error
 	if fn == nil {
 		return fmt.Errorf("packetsim: Schedule requires a callback")
 	}
-	if math.IsNaN(atSec) || atSec < e.run.now {
+	if math.IsNaN(atSec) || math.IsInf(atSec, 0) {
+		return fmt.Errorf("packetsim: wake at %g is not a finite time", atSec)
+	}
+	if atSec < e.run.now {
 		return fmt.Errorf("packetsim: wake at %g is before now %g", atSec, e.run.now)
 	}
 	r := e.run
@@ -91,19 +94,21 @@ func (e *TransportEngine) Schedule(atSec float64, fn func(nowSec float64)) error
 // case for co-located endpoints.
 func (e *TransportEngine) InjectFlow(src, dst int, bytes int64, startSec float64) (int, error) {
 	r := e.run
-	servers := r.net.Servers()
-	if src < 0 || src >= len(servers) || dst < 0 || dst >= len(servers) {
+	if n := r.net.NumServers(); src < 0 || src >= n || dst < 0 || dst >= n {
 		return 0, fmt.Errorf("packetsim: inject endpoints %d->%d out of range", src, dst)
 	}
 	if bytes <= 0 {
 		return 0, fmt.Errorf("packetsim: inject needs positive bytes, got %d", bytes)
 	}
-	if math.IsNaN(startSec) || startSec < r.now {
+	if math.IsNaN(startSec) || math.IsInf(startSec, 0) {
+		return 0, fmt.Errorf("packetsim: inject at %g is not a finite time", startSec)
+	}
+	if startSec < r.now {
 		return 0, fmt.Errorf("packetsim: inject at %g is before now %g", startSec, r.now)
 	}
 	id := len(r.flows)
 	if src == dst {
-		r.flows = append(r.flows, tflow{fwd: topology.Path{servers[src]}, start: startSec})
+		r.flows = append(r.flows, tflow{fwd: topology.Path{r.net.Server(src)}, start: startSec})
 		err := e.Schedule(startSec, func(now float64) {
 			f := &r.flows[id]
 			f.started, f.done, f.finish = true, true, now

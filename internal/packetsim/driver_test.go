@@ -1,6 +1,7 @@
 package packetsim
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -274,6 +275,14 @@ func TestEngineRejectsMisuse(t *testing.T) {
 	}
 	if err := eng.Schedule(0, nil); err == nil {
 		t.Error("accepted nil wake callback")
+	}
+	for _, at := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := eng.InjectFlow(0, 1, 1024, at); err == nil {
+			t.Errorf("accepted inject at %g", at)
+		}
+		if err := eng.Schedule(at, func(float64) {}); err == nil {
+			t.Errorf("accepted wake at %g", at)
+		}
 	}
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)

@@ -7,8 +7,9 @@ package packetsim
 // the event machinery, not the quantile formula). They exist only as the
 // oracle for the equivalence tests and the baseline for the engine
 // benchmarks: the production engines compile routes once and drive unboxed
-// eventq queues (eventq.Batched for the datagram engine, the 4-ary
-// eventq.Queue for the transport engines) with lazy packet injection, and
+// eventq queues (eventq.Batched for the datagram engine, 4-ary
+// eventq.Queues for the transport engines, split by event kind in the
+// serial one) with lazy packet injection, and
 // the tests pin their Result/TransportResult byte-identical to these.
 //
 // referenceRun also carries the datagram engine's content-keyed semantics,

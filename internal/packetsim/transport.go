@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/eventq"
 	"repro/internal/failure"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -258,7 +257,7 @@ type tevent struct {
 type transportRun struct {
 	cfg    TransportConfig
 	flows  []tflow
-	q      eventq.Queue[tevent]
+	q      tqueue
 	ord    int64
 	now    float64
 	events int64
@@ -317,10 +316,10 @@ type flowDone struct {
 }
 
 // push enqueues ev with the next ordinal, preserving the reference engine's
-// push-order tie-break.
+// push-order tie-break. Retransmission timers go through armTimer instead.
 func (r *transportRun) push(t float64, ev tevent) {
 	r.ord++
-	r.q.Push(t, r.ord, ev)
+	r.q.push(t, r.ord, ev)
 }
 
 // newTransportRun builds the mutable run state shared by RunTransport and
@@ -359,7 +358,7 @@ func newTransportRun(t topology.Topology, cfg TransportConfig, numRes int) (*tra
 		// Fault events carry negative keys so a transition at time T applies
 		// before any packet event at T, in plan order.
 		for i, fe := range cfg.Faults.Events {
-			run.q.Push(fe.TimeSec, int64(i)-int64(len(cfg.Faults.Events)),
+			run.q.push(fe.TimeSec, int64(i)-int64(len(cfg.Faults.Events)),
 				tevent{kind: tevFault, seq: int32(i)})
 		}
 	}
@@ -383,12 +382,17 @@ func newTransportRun(t topology.Topology, cfg TransportConfig, numRes int) (*tra
 // RunTransport simulates the workload with reliable Reno-like flows over the
 // structure's routed paths (data forward, ACKs on the reversed path).
 //
-// Like Run it drives value events through an eventq.Queue over routes
-// compiled (and cached) once per workload; the reference engine in
-// reference.go pins its results exactly.
+// Like Run it drives value events through a priority queue (tqueue, built
+// on eventq.Queue) over routes compiled (and cached) once per workload; the
+// reference engine in reference.go pins its results exactly.
 func RunTransport(t topology.Topology, flows []traffic.Flow, cfg TransportConfig) (TransportResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return TransportResult{}, err
+	}
+	for i, f := range flows {
+		if math.IsNaN(f.StartSec) || math.IsInf(f.StartSec, 0) {
+			return TransportResult{}, fmt.Errorf("packetsim: flow %d starts at %g, not a finite time", i, f.StartSec)
+		}
 	}
 	plan, err := planFor(t, flows)
 	if err != nil {
@@ -441,12 +445,12 @@ func RunTransport(t topology.Topology, flows []traffic.Flow, cfg TransportConfig
 // notifications flush between events — the only point where no handler
 // holds pointers into r.flows, so OnFlowDone callbacks may inject.
 func (r *transportRun) drain() error {
-	for r.q.Len() > 0 {
+	for r.q.len() > 0 {
 		r.events++
 		if r.events > r.cfg.MaxEvents {
 			return fmt.Errorf("packetsim: transport exceeded %d events", r.cfg.MaxEvents)
 		}
-		now, _, ev := r.q.Pop()
+		now, _, ev := r.q.pop()
 		r.now = now
 		switch ev.kind {
 		case tevStart:
@@ -510,7 +514,8 @@ func (r *transportRun) pump(flow int) {
 func (r *transportRun) armTimer(flow int) {
 	f := &r.flows[flow]
 	f.timerGen++
-	r.push(r.now+f.rto, tevent{flow: int32(flow), gen: f.timerGen, kind: tevTimer})
+	r.ord++
+	r.q.pushTimer(r.now, f.rto, r.cfg.RTOSec, r.ord, tevent{flow: int32(flow), gen: f.timerGen, kind: tevTimer})
 }
 
 // sendData transmits one data packet from the flow's source, stamped with

@@ -137,6 +137,14 @@ func TestTransportErrors(t *testing.T) {
 	if _, err := RunTransport(tp, nil, bad); err == nil {
 		t.Error("invalid config accepted")
 	}
+	// A non-finite start used to "complete" with a NaN mean FCT, or panic in
+	// the FCT quantile beside a finite flow.
+	for _, at := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		flows := []traffic.Flow{{Src: 0, Dst: 1, Bytes: 4096}, {Src: 1, Dst: 0, Bytes: 4096, StartSec: at}}
+		if _, err := RunTransport(tp, flows, DefaultTransport()); err == nil {
+			t.Errorf("flow starting at %g accepted", at)
+		}
+	}
 }
 
 func TestTransportSharedBottleneckFairness(t *testing.T) {
