@@ -37,7 +37,7 @@ var seriesSlots = []struct{ light, dark string }{
 var trackSlot = map[string]int{
 	packetsim.SeriesGoodputBytes: 0,
 	packetsim.SeriesDropFault:    1,
-	packetsim.SeriesDropStale:    2,
+	trackDropStale:               2,
 	packetsim.SeriesDropTail:     3,
 	packetsim.SeriesRetransmits:  4,
 	packetsim.SeriesReroutes:     5,
@@ -149,7 +149,7 @@ func buildCharts(fs *foldedSeries) []*lineChart {
 	}
 	for _, tr := range []struct{ track, label string }{
 		{packetsim.SeriesDropFault, "fault"},
-		{packetsim.SeriesDropStale, "stale"},
+		{trackDropStale, "stale"},
 		{packetsim.SeriesDropTail, "tail"},
 	} {
 		if v := sums(tr.track); v != nil {

@@ -14,6 +14,11 @@ import (
 	"repro/internal/packetsim"
 )
 
+// trackDropStale is the stale-route drop track of run records written before
+// the transport engine carried each packet's path: packets in flight on a
+// superseded route were dropped then, and such records still render.
+const trackDropStale = "drop_stale"
+
 // Track labels the report knows how to head columns with; anything else in a
 // file still shows up in totals and the diff under its raw track name.
 var trackLabels = map[string]string{
@@ -21,7 +26,7 @@ var trackLabels = map[string]string{
 	packetsim.SeriesQueueDepth:   "queue depth",
 	packetsim.SeriesDropTail:     "tail drops",
 	packetsim.SeriesDropFault:    "fault drops",
-	packetsim.SeriesDropStale:    "stale drops",
+	trackDropStale:               "stale drops",
 	packetsim.SeriesRetransmits:  "retransmits",
 	packetsim.SeriesReroutes:     "reroutes",
 	packetsim.SeriesFailovers:    "failovers",
@@ -214,7 +219,7 @@ func writeReport(w io.Writer, r *runFile) error {
 				fmt.Fprintf(tw, "%d\t%.2f-%.2f\t%.3f\t%d/%d/%d\t%d\t%d\t%d\t%d\n",
 					i, t0, t0+ms(fs.widthNs), fs.goodputGbps(i),
 					fs.at(packetsim.SeriesDropFault, i),
-					fs.at(packetsim.SeriesDropStale, i),
+					fs.at(trackDropStale, i),
 					fs.at(packetsim.SeriesDropTail, i),
 					fs.at(packetsim.SeriesRetransmits, i),
 					fs.at(packetsim.SeriesReroutes, i),

@@ -104,7 +104,7 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("-shards and -workers must be non-negative, got %d and %d", *shards, *workers)
 	}
 	if (*shards != 0 || *workers != 0) && (*sim == "flow" || *sim == "svc" || *sim == "surv") {
-		return fmt.Errorf("-shards/-workers require -sim packet, transport or emu (the service layer runs on the serial engine; surv parallelizes over trials by itself)")
+		return fmt.Errorf("-shards/-workers require -sim packet, transport or emu (the service layer runs on the one-shard transport engine; surv parallelizes over trials by itself)")
 	}
 	if *workers != 0 && *shards == 0 {
 		return fmt.Errorf("-workers requires -shards")
@@ -294,12 +294,8 @@ func run(args []string, w io.Writer) error {
 		cfg.Link.Series = ser
 		cfg.Multipath = *mpath
 		cfg.MultipathPaths = *paths
-		var res packetsim.TransportResult
-		if *shards != 0 {
-			res, err = packetsim.RunTransportSharded(t, flows, cfg, packetsim.ShardOpts{Shards: *shards, Workers: *workers, Profile: prof})
-		} else {
-			res, err = packetsim.RunTransport(t, flows, cfg)
-		}
+		// Without -shards this is the one-shard engine, i.e. packetsim.RunTransport.
+		res, err := packetsim.RunTransportSharded(t, flows, cfg, packetsim.ShardOpts{Shards: *shards, Workers: *workers, Profile: prof})
 		if err != nil {
 			return err
 		}
@@ -576,9 +572,9 @@ func writeAnalysis(w io.Writer, g *svc.Graph, rep *svc.Report) {
 func writeTimeline(w io.Writer, tl *packetsim.Timeline) {
 	fmt.Fprintf(w, "fault timeline (%d epochs):\n", len(tl.Epochs))
 	for i, e := range tl.Epochs {
-		fmt.Fprintf(w, "  epoch %2d  %8.3f-%8.3fms  goodput %7.3f Gb/s  avail %.4f  drops fault/stale/tail %d/%d/%d  reroutes %d  failovers %d\n",
+		fmt.Fprintf(w, "  epoch %2d  %8.3f-%8.3fms  goodput %7.3f Gb/s  avail %.4f  drops fault/tail %d/%d  reroutes %d  failovers %d\n",
 			i, e.StartSec*1e3, e.EndSec*1e3, e.GoodputBps()*8/1e9, e.Availability(),
-			e.DroppedFault, e.DroppedStale, e.DroppedTail, e.Reroutes, e.Failovers)
+			e.DroppedFault, e.DroppedTail, e.Reroutes, e.Failovers)
 	}
 }
 

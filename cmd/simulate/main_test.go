@@ -166,6 +166,28 @@ func TestPacketSimIsOneShardEngine(t *testing.T) {
 	}
 }
 
+// TestTransportSimIsOneShardEngine pins that plain -sim transport runs the
+// one-shard engine: its output, fault timeline and metrics summary included,
+// is byte-identical to -sim transport -shards 1.
+func TestTransportSimIsOneShardEngine(t *testing.T) {
+	base := []string{"-topo", "abccc", "-pattern", "shuffle", "-sim", "transport", "-multipath", "-faults", "switches", "-mtbf", "200us", "-mttr", "100us", "-metrics"}
+	var plain, sharded bytes.Buffer
+	if err := run(base, &plain); err != nil {
+		t.Fatal(err)
+	}
+	if err := run(append(base, "-shards", "1"), &sharded); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"transport sim:", "fault timeline"} {
+		if !strings.Contains(plain.String(), want) {
+			t.Fatalf("no %q in output:\n%s", want, plain.String())
+		}
+	}
+	if plain.String() != sharded.String() {
+		t.Errorf("-sim transport differs from -shards 1:\n%s\n---\n%s", plain.String(), sharded.String())
+	}
+}
+
 // TestSvcGraphFile runs -sim svc against a JSON graph file instead of a
 // built-in, and checks the analyzer report names its services.
 func TestSvcGraphFile(t *testing.T) {

@@ -115,7 +115,7 @@ func F27GracefulDegradation(w io.Writer) error {
 	}
 
 	tw := table(w)
-	fmt.Fprintln(tw, "structure\tfail rate\tmode\tgoodput(Gb/s)\t% of healthy\tflows done/failed\tfailovers\tdrops fault/stale")
+	fmt.Fprintln(tw, "structure\tfail rate\tmode\tgoodput(Gb/s)\t% of healthy\tflows done/failed\tfailovers\tfault drops")
 	for si, sub := range subjects {
 		base := points[si*len(failureRates)]
 		for ri, rate := range failureRates {
@@ -125,10 +125,10 @@ func F27GracefulDegradation(w io.Writer) error {
 				if healthy.GoodputBps > 0 {
 					pct = res.GoodputBps / healthy.GoodputBps * 100
 				}
-				fmt.Fprintf(tw, "%s\t%.0f%%\t%s\t%.3f\t%.1f%%\t%d/%d\t%s\t%d/%d\n",
+				fmt.Fprintf(tw, "%s\t%.0f%%\t%s\t%.3f\t%.1f%%\t%d/%d\t%s\t%d\n",
 					sub.name, rate*100, mode, res.GoodputBps*8/1e9, pct,
 					res.CompletedFlows, res.FailedFlows, failovers,
-					res.DroppedFault, res.DroppedStale)
+					res.DroppedFault)
 			}
 			row("reactive", p.reactive, base.reactive, "-")
 			row("multipath", p.mp, base.mp, fmt.Sprintf("%d", p.mp.Failovers))

@@ -90,7 +90,6 @@ func runRecovery(t topology.Topology) (packetsim.TransportResult, *packetsim.Tim
 type seriesWindow struct {
 	goodputBytes int64
 	dropFault    int64
-	dropStale    int64
 	dropTail     int64
 	rtx          int64
 	reroutes     int64
@@ -116,8 +115,6 @@ func foldSeriesWindows(s *obs.Series) []seriesWindow {
 			r.goodputBytes += pt.Sum
 		case packetsim.SeriesDropFault:
 			r.dropFault += pt.Sum
-		case packetsim.SeriesDropStale:
-			r.dropStale += pt.Sum
 		case packetsim.SeriesDropTail:
 			r.dropTail += pt.Sum
 		case packetsim.SeriesRetransmits:
@@ -134,7 +131,7 @@ func foldSeriesWindows(s *obs.Series) []seriesWindow {
 // F26RecoveryTimeline regenerates the recovery figure: goodput and
 // availability per fault epoch as a switch burst hits mid-run and is later
 // repaired, followed by the same runs resolved into 1 ms series windows. The
-// outage epoch shows the goodput dip and the fault/stale drop burst; the
+// outage epoch shows the goodput dip and the fault-drop burst; the
 // post-repair epoch shows the recovery; the windowed section shows when
 // within each epoch the dip bottoms out and the reroute/retransmit bursts
 // fire.
@@ -157,7 +154,7 @@ func F26RecoveryTimeline(w io.Writer) error {
 	}
 
 	tw := table(w)
-	fmt.Fprintln(tw, "structure\tepoch\twindow(ms)\tgoodput(Gb/s)\tavail\tdrops fault/stale/tail\treroutes\trtx\tflows done")
+	fmt.Fprintln(tw, "structure\tepoch\twindow(ms)\tgoodput(Gb/s)\tavail\tdrops fault/tail\treroutes\trtx\tflows done")
 	labels := []string{"pre-fault", "outage", "post-repair"}
 	for i, sub := range subjects {
 		for j, e := range outs[i].tl.Epochs {
@@ -165,16 +162,16 @@ func F26RecoveryTimeline(w io.Writer) error {
 			if j < len(labels) {
 				label = labels[j]
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%.2f-%.2f\t%.3f\t%.4f\t%d/%d/%d\t%d\t%d\t%d\n",
+			fmt.Fprintf(tw, "%s\t%s\t%.2f-%.2f\t%.3f\t%.4f\t%d/%d\t%d\t%d\t%d\n",
 				sub.name, label, e.StartSec*1e3, e.EndSec*1e3,
 				e.GoodputBps()*8/1e9, e.Availability(),
-				e.DroppedFault, e.DroppedStale, e.DroppedTail,
+				e.DroppedFault, e.DroppedTail,
 				e.Reroutes, e.Retransmits, e.CompletedFlows)
 		}
 		res := outs[i].res
-		fmt.Fprintf(tw, "%s\ttotal\t0.00-%.2f\t%.3f\t\t%d/%d/-\t%d\t%d\t%d (%d failed)\n",
+		fmt.Fprintf(tw, "%s\ttotal\t0.00-%.2f\t%.3f\t\t%d/-\t%d\t%d\t%d (%d failed)\n",
 			sub.name, res.MakespanSec*1e3, res.GoodputBps*8/1e9,
-			res.DroppedFault, res.DroppedStale, res.Reroutes, res.Retransmits,
+			res.DroppedFault, res.Reroutes, res.Retransmits,
 			res.CompletedFlows, res.FailedFlows)
 	}
 	if err := tw.Flush(); err != nil {
@@ -183,13 +180,13 @@ func F26RecoveryTimeline(w io.Writer) error {
 
 	fmt.Fprintf(w, "\ntime series (%.0f ms windows):\n", recoverySeriesWindowSec*1e3)
 	tw = table(w)
-	fmt.Fprintln(tw, "structure\twindow(ms)\tgoodput(Gb/s)\tdrops fault/stale/tail\treroutes\trtx")
+	fmt.Fprintln(tw, "structure\twindow(ms)\tgoodput(Gb/s)\tdrops fault/tail\treroutes\trtx")
 	for i, sub := range subjects {
 		for win, r := range foldSeriesWindows(outs[i].series) {
-			fmt.Fprintf(tw, "%s\t%d-%d\t%.3f\t%d/%d/%d\t%d\t%d\n",
+			fmt.Fprintf(tw, "%s\t%d-%d\t%.3f\t%d/%d\t%d\t%d\n",
 				sub.name, win, win+1,
 				float64(r.goodputBytes)/recoverySeriesWindowSec*8/1e9,
-				r.dropFault, r.dropStale, r.dropTail, r.reroutes, r.rtx)
+				r.dropFault, r.dropTail, r.reroutes, r.rtx)
 		}
 	}
 	return tw.Flush()

@@ -75,7 +75,6 @@ func TestRecoverySeriesMatchesTimeline(t *testing.T) {
 			a := &agg[e]
 			a.goodputBytes += row.goodputBytes
 			a.dropFault += row.dropFault
-			a.dropStale += row.dropStale
 			a.dropTail += row.dropTail
 			a.rtx += row.rtx
 			a.reroutes += row.reroutes
@@ -91,7 +90,6 @@ func TestRecoverySeriesMatchesTimeline(t *testing.T) {
 			}
 			check("goodput bytes", a.goodputBytes, epoch.DeliveredBytes)
 			check("fault drops", a.dropFault, epoch.DroppedFault)
-			check("stale drops", a.dropStale, epoch.DroppedStale)
 			check("tail drops", a.dropTail, epoch.DroppedTail)
 			check("retransmits", a.rtx, epoch.Retransmits)
 			check("reroutes", a.reroutes, epoch.Reroutes)

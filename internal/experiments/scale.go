@@ -16,9 +16,9 @@ import (
 // claim under test is the sharded engine's contract — the partition changes
 // where events are processed, never what happens — so the table reports the
 // simulation results per shard count together with an explicit
-// identical-to-shards=1 marker. For the packet engine shards=1 is
-// packetsim.Run itself; for transport it is the sharded engine's own
-// one-shard run, not the serial RunTransport. Wall-clock speedup is
+// identical-to-shards=1 marker. Shards=1 is the serial entry point itself:
+// packetsim.Run for the packet engine, packetsim.RunTransport for
+// transport. Wall-clock speedup is
 // measured by the bench suite (cmd/benchsuite -scale), not here:
 // experiment output must be deterministic, and timings never are.
 const (

@@ -67,105 +67,6 @@ func MaxMinFair(net *topology.Network, paths []topology.Path) (Assignment, error
 	return MaxMinFairCapacity(net, paths, DefaultCapacity)
 }
 
-// referenceMaxMinFairCapacity is the original O(rounds·links) progressive
-// filling loop: every round rescans all 2·E directed resources to find the
-// next saturating link and drains all of them. It is kept as the executable
-// specification that the production heap-based MaxMinFairCapacity is tested
-// against (see maxminheap.go and the equivalence tests).
-func referenceMaxMinFairCapacity(net *topology.Network, paths []topology.Path, capacity float64) (Assignment, error) {
-	if capacity <= 0 {
-		return Assignment{}, fmt.Errorf("flowsim: capacity %f must be positive", capacity)
-	}
-	g := net.Graph()
-	// flowEdges[i] lists the directed link resources of flow i (resource
-	// 2*edge+direction); active[r] counts unfrozen flows on resource r.
-	flowEdges := make([][]int, len(paths))
-	active := make([]int, 2*g.NumEdges())
-	for i, p := range paths {
-		if len(p) < 2 {
-			continue // zero-length flow (src == dst): infinite local rate, skip
-		}
-		edges := make([]int, 0, len(p)-1)
-		for j := 1; j < len(p); j++ {
-			e := g.EdgeBetween(p[j-1], p[j])
-			if e == -1 {
-				return Assignment{}, fmt.Errorf("flowsim: path %d hops a non-edge %s-%s",
-					i, net.Label(p[j-1]), net.Label(p[j]))
-			}
-			r := 2 * e
-			if p[j-1] > p[j] {
-				r++
-			}
-			edges = append(edges, r)
-			active[r]++
-		}
-		flowEdges[i] = edges
-	}
-
-	remaining := make([]float64, 2*g.NumEdges())
-	for e := range remaining {
-		remaining[e] = capacity
-	}
-	rates := make([]float64, len(paths))
-	frozen := make([]bool, len(paths))
-	level := 0.0 // current fill level of unfrozen flows
-
-	for {
-		// The next saturating link bounds the uniform growth of all
-		// unfrozen flows.
-		bump := math.Inf(1)
-		for e := range remaining {
-			if active[e] == 0 {
-				continue
-			}
-			if b := remaining[e] / float64(active[e]); b < bump {
-				bump = b
-			}
-		}
-		if math.IsInf(bump, 1) {
-			break // no active links left: every remaining flow is local
-		}
-		level += bump
-		// Drain the growth from every link carrying unfrozen flows.
-		for e := range remaining {
-			if active[e] > 0 {
-				remaining[e] -= bump * float64(active[e])
-			}
-		}
-		// Freeze flows crossing a saturated link.
-		for i, edges := range flowEdges {
-			if frozen[i] || len(edges) == 0 {
-				continue
-			}
-			for _, e := range edges {
-				if remaining[e] <= 1e-12 {
-					frozen[i] = true
-					rates[i] = level
-					break
-				}
-			}
-			if frozen[i] {
-				for _, e := range edges {
-					active[e]--
-				}
-			}
-		}
-	}
-	// Flows that never met a saturated link (shouldn't happen with finite
-	// capacity, but guard): give them the final level.
-	count := 0
-	for i := range rates {
-		if len(flowEdges[i]) == 0 {
-			continue
-		}
-		count++
-		if !frozen[i] {
-			rates[i] = level
-		}
-	}
-	return Assignment{Rates: rates, Flows: count}, nil
-}
-
 // RoutePaths routes every flow of a workload on the given structure,
 // translating the workload's server indices to node ids via the network's
 // server list.

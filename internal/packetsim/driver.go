@@ -2,12 +2,13 @@
 // workload known up front; layers that react to completions — retrying RPCs,
 // dependency chains, anything with a control loop — need to inject flows and
 // schedule their own callbacks *while* the event loop runs. TransportEngine
-// wraps the same transportRun state behind three calls: InjectFlow adds a
-// flow mid-run (routed on demand, route cached per server pair), Schedule
-// registers a timer callback riding the event queue (tevWake), and Run
-// drains to completion. Combined with TransportConfig.OnFlowDone this gives
-// a deterministic single-threaded reactor: callbacks fire in event order and
-// everything they inject lands on the same totally-ordered queue.
+// drives a one-shard run of the transport engine behind three calls:
+// InjectFlow adds a flow mid-run (routed on demand, route cached per server
+// pair), Schedule registers a timer callback riding the event queue (wake
+// events), and Run drains to completion. Combined with
+// TransportConfig.OnFlowDone this gives a deterministic single-threaded
+// reactor: callbacks fire in event order and everything they inject lands on
+// the same totally-ordered queue.
 
 package packetsim
 
@@ -18,14 +19,14 @@ import (
 	"repro/internal/topology"
 )
 
-// engineRoute is one cached per-server-pair route: the healthy primary and,
-// when multipath is armed, the precompiled scoreboard alternatives. Shared
-// read-only by every flow injected for the pair (per-flow probation state
-// lives on the tflow).
+// engineRoute is one cached per-server-pair route: the id of its healthy
+// primary among the run's static paths and, when multipath is armed, the
+// size of its scoreboard, which follows the primary there. Shared by every
+// flow injected for the pair (per-flow probation state lives on the
+// stflow).
 type engineRoute struct {
-	fwd  topology.Path
-	res  []int32
-	alts []pathAlt
+	prim  int32
+	nAlts int
 }
 
 // TransportEngine is the closed-loop variant of RunTransport. Construct
@@ -34,10 +35,11 @@ type engineRoute struct {
 // from OnFlowDone and Schedule callbacks — must come from the single
 // goroutine driving Run.
 type TransportEngine struct {
-	t      topology.Topology
-	run    *transportRun
-	routes map[int64]*engineRoute
-	ran    bool
+	t       topology.Topology
+	run     *stRun
+	mrouter topology.MultipathRouter
+	routes  map[int64]engineRoute
+	ran     bool
 }
 
 // NewTransportEngine validates cfg and builds an idle engine on t. The
@@ -47,19 +49,21 @@ func NewTransportEngine(t topology.Topology, cfg TransportConfig) (*TransportEng
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	run, err := newTransportRun(t, cfg, 2*t.Network().Graph().NumEdges())
+	run, err := newStRun(t, cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	return &TransportEngine{t: t, run: run, routes: make(map[int64]*engineRoute)}, nil
+	mrouter, _ := t.(topology.MultipathRouter)
+	return &TransportEngine{t: t, run: run, mrouter: mrouter, routes: make(map[int64]engineRoute)}, nil
 }
 
 // Now returns the current simulation time (0 before Run).
-func (e *TransportEngine) Now() float64 { return e.run.now }
+func (e *TransportEngine) Now() float64 { return e.run.shards[0].now }
 
 // Schedule registers fn to fire at atSec simulation time. Callbacks run at
 // a safe point in the event loop and may inject flows or schedule further
-// wakes; same-time wakes fire in registration order.
+// wakes; same-time wakes fire in registration order, after every other
+// event at that time.
 func (e *TransportEngine) Schedule(atSec float64, fn func(nowSec float64)) error {
 	if fn == nil {
 		return fmt.Errorf("packetsim: Schedule requires a callback")
@@ -67,8 +71,8 @@ func (e *TransportEngine) Schedule(atSec float64, fn func(nowSec float64)) error
 	if math.IsNaN(atSec) || math.IsInf(atSec, 0) {
 		return fmt.Errorf("packetsim: wake at %g is not a finite time", atSec)
 	}
-	if atSec < e.run.now {
-		return fmt.Errorf("packetsim: wake at %g is before now %g", atSec, e.run.now)
+	if now := e.Now(); atSec < now {
+		return fmt.Errorf("packetsim: wake at %g is before now %g", atSec, now)
 	}
 	r := e.run
 	var slot int32
@@ -80,7 +84,8 @@ func (e *TransportEngine) Schedule(atSec float64, fn func(nowSec float64)) error
 		slot = int32(len(r.wakes))
 		r.wakes = append(r.wakes, fn)
 	}
-	r.push(atSec, tevent{kind: tevWake, seq: slot})
+	r.wakeOrd++
+	r.shards[0].q.Push(atSec, keyWakeBase+r.wakeOrd, stevent{kind: tevWake, seq: slot})
 	return nil
 }
 
@@ -103,18 +108,18 @@ func (e *TransportEngine) InjectFlow(src, dst int, bytes int64, startSec float64
 	if math.IsNaN(startSec) || math.IsInf(startSec, 0) {
 		return 0, fmt.Errorf("packetsim: inject at %g is not a finite time", startSec)
 	}
-	if startSec < r.now {
-		return 0, fmt.Errorf("packetsim: inject at %g is before now %g", startSec, r.now)
+	if now := e.Now(); startSec < now {
+		return 0, fmt.Errorf("packetsim: inject at %g is before now %g", startSec, now)
 	}
-	id := len(r.flows)
 	if src == dst {
-		r.flows = append(r.flows, tflow{fwd: topology.Path{r.net.Server(src)}, start: startSec})
+		id := len(r.flows)
+		r.flows = append(r.flows, stflow{start: startSec})
 		err := e.Schedule(startSec, func(now float64) {
 			f := &r.flows[id]
 			f.started, f.done, f.finish = true, true, now
 			r.cDone.Inc()
-			if r.fs != nil {
-				r.fs.cur.CompletedFlows++
+			if fs := r.shards[0].fs; fs != nil {
+				fs.cur.CompletedFlows++
 			}
 			if r.cfg.OnFlowDone != nil {
 				r.doneq = append(r.doneq, flowDone{flow: int32(id), at: now, completed: true})
@@ -126,68 +131,38 @@ func (e *TransportEngine) InjectFlow(src, dst int, bytes int64, startSec float64
 	if err != nil {
 		return 0, err
 	}
-	r.flows = append(r.flows, tflow{
-		fwd:      rt.fwd,
-		res:      rt.res,
-		total:    int((bytes + int64(r.cfg.Link.MTU) - 1) / int64(r.cfg.Link.MTU)),
-		cwnd:     r.cfg.InitCwnd,
-		ssthresh: r.cfg.MaxCwnd,
-		rto:      r.cfg.RTOSec,
-		start:    startSec,
-	})
-	if rt.alts != nil {
-		f := &r.flows[id]
-		f.alts = rt.alts
-		f.probing = make([]bool, len(f.alts))
-		f.probeGen = make([]int32, len(f.alts))
-		f.backoff = make([]float64, len(f.alts))
-		for j := range f.backoff {
-			f.backoff[j] = r.cfg.RTOSec
-		}
-	}
-	r.push(startSec, tevent{flow: int32(id), kind: tevStart})
-	return id, nil
+	return r.addFlow(rt.prim, rt.nAlts, bytes, startSec), nil
 }
 
 // routeFor compiles (or returns the cached) route for a server pair,
 // including the multipath scoreboard when the layer is armed.
-func (e *TransportEngine) routeFor(src, dst int) (*engineRoute, error) {
+func (e *TransportEngine) routeFor(src, dst int) (engineRoute, error) {
 	key := int64(src)<<32 | int64(dst)
 	if rt, ok := e.routes[key]; ok {
 		return rt, nil
 	}
 	r := e.run
-	u, v := r.net.Server(src), r.net.Server(dst)
-	p, err := e.t.Route(u, v)
+	p, err := e.t.Route(r.net.Server(src), r.net.Server(dst))
 	if err != nil {
-		return nil, fmt.Errorf("packetsim: route %d->%d: %w", src, dst, err)
+		return engineRoute{}, fmt.Errorf("packetsim: route %d->%d: %w", src, dst, err)
 	}
 	if len(p) < 2 {
-		return nil, fmt.Errorf("packetsim: route %d->%d too short", src, dst)
+		return engineRoute{}, fmt.Errorf("packetsim: route %d->%d too short", src, dst)
 	}
 	res, err := appendPathRes(make([]int32, 0, len(p)-1), r.g, p)
 	if err != nil {
-		return nil, fmt.Errorf("packetsim: route %d->%d: %w", src, dst, err)
+		return engineRoute{}, fmt.Errorf("packetsim: route %d->%d: %w", src, dst, err)
 	}
-	rt := &engineRoute{fwd: p, res: res}
+	rt := engineRoute{prim: int32(len(r.paths))}
 	if r.mpK > 0 {
-		alts := []pathAlt{{fwd: p, res: res}}
-		if mrouter, ok := e.t.(topology.MultipathRouter); ok {
-			for _, ap := range mrouter.ParallelPaths(u, v) {
-				if len(alts) >= r.mpK {
-					break
-				}
-				if len(ap) < 2 || samePath(ap, p) {
-					continue
-				}
-				ares, err := appendPathRes(make([]int32, 0, len(ap)-1), r.g, ap)
-				if err != nil {
-					return nil, fmt.Errorf("packetsim: route %d->%d multipath: %w", src, dst, err)
-				}
-				alts = append(alts, pathAlt{fwd: ap, res: ares})
-			}
+		alts, err := pairPaths(e.mrouter, r.g, pathAlt{fwd: p, res: res}, r.mpK)
+		if err != nil {
+			return engineRoute{}, fmt.Errorf("packetsim: route %d->%d multipath: %w", src, dst, err)
 		}
-		rt.alts = alts
+		r.paths = append(r.paths, alts...)
+		rt.nAlts = len(alts)
+	} else {
+		r.paths = append(r.paths, pathAlt{fwd: p, res: res})
 	}
 	e.routes[key] = rt
 	return rt, nil
@@ -201,8 +176,5 @@ func (e *TransportEngine) Run() (TransportResult, error) {
 		return TransportResult{}, fmt.Errorf("packetsim: TransportEngine.Run called twice")
 	}
 	e.ran = true
-	if err := e.run.drain(); err != nil {
-		return TransportResult{}, err
-	}
-	return e.run.results(), nil
+	return e.run.run(1, nil)
 }

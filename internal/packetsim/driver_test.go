@@ -254,7 +254,7 @@ func TestEngineScheduleOrder(t *testing.T) {
 }
 
 // TestEngineRejectsMisuse covers the argument validation and single-shot
-// contracts, plus the sharded engine's hook rejection.
+// contracts, plus the multi-shard hook rejection.
 func TestEngineRejectsMisuse(t *testing.T) {
 	tp := core.MustBuild(core.Config{N: 2, K: 0, P: 2})
 	eng, err := NewTransportEngine(tp, DefaultTransport())
@@ -293,7 +293,7 @@ func TestEngineRejectsMisuse(t *testing.T) {
 
 	cfg := DefaultTransport()
 	cfg.OnFlowDone = func(int, float64, bool) {}
-	if _, err := RunTransportSharded(tp, []traffic.Flow{{Src: 0, Dst: 1, Bytes: 1024}}, cfg, ShardOpts{}); err == nil {
-		t.Error("sharded engine accepted a completion hook")
+	if _, err := RunTransportSharded(tp, []traffic.Flow{{Src: 0, Dst: 1, Bytes: 1024}}, cfg, ShardOpts{Shards: 2}); err == nil {
+		t.Error("2-shard run accepted a completion hook")
 	}
 }

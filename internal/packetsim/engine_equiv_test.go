@@ -149,8 +149,8 @@ func TestRunTransportMatchesReferenceEngine(t *testing.T) {
 			c.Link.QueueLimitPackets = 4 // exercise retransmission paths
 			return c
 		},
-		// Armed-but-empty plan: route-epoch stamping and the timeout counter
-		// are live, but with no fault events they must change nothing.
+		// Armed-but-empty plan: the fault views and the timeout counter are
+		// live, but with no fault events they must change nothing.
 		"empty-faults": func() TransportConfig {
 			c := DefaultTransport()
 			c.Faults = &failure.FaultPlan{}
@@ -188,6 +188,13 @@ func TestRunTransportMatchesReferenceEngine(t *testing.T) {
 				}
 				if got != want {
 					t.Errorf("transport engine diverged from reference:\n new %+v\n old %+v", got, want)
+				}
+				got, err = RunTransportSharded(tc.topo, tc.flows, mk(), ShardOpts{Shards: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("3-shard transport diverged from reference:\n new %+v\n old %+v", got, want)
 				}
 			})
 		}

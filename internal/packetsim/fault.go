@@ -24,10 +24,6 @@ const (
 	DropCauseTail = "droptail"
 	// DropCauseFault is a packet transmitted into a failed link or node.
 	DropCauseFault = "fault"
-	// DropCauseStale is a packet from a superseded route epoch (transport
-	// only): when a flow reroutes, packets still in flight on the old path
-	// are lost, exactly as if the path had blackholed them.
-	DropCauseStale = "stale-route"
 )
 
 // Fault-layer instrument names registered on the run's metrics registry.
@@ -35,13 +31,12 @@ const (
 	MetricDroppedFault        = "packetsim_dropped_fault"
 	MetricFaultEvents         = "packetsim_fault_events"
 	MetricTransportFaultDrops = "transport_dropped_fault"
-	MetricTransportStaleDrops = "transport_dropped_stale"
 	MetricReroutes            = "transport_reroutes"
 	MetricFailedFlows         = "transport_failed_flows"
 	// Conservation probes: journeys started (a packet entering the network
 	// at its source) and journeys finished at an endpoint. Together with the
 	// drop-cause counters these satisfy
-	//   sent == arrived + dropped(tail) + dropped(fault) + dropped(stale)
+	//   sent == arrived + dropped(tail) + dropped(fault)
 	// for data and ACK packets alike; the property tests pin this.
 	MetricDataSent    = "transport_data_sent"
 	MetricDataArrived = "transport_data_arrived"
@@ -64,7 +59,6 @@ type EpochStat struct {
 	// Drop-cause counts.
 	DroppedTail  int64
 	DroppedFault int64
-	DroppedStale int64
 	// Transport-only: retransmissions, route recompilations, fast multipath
 	// failovers, and flows that completed during the epoch.
 	Retransmits    int64
@@ -84,7 +78,7 @@ func (e EpochStat) GoodputBps() float64 {
 // Availability returns delivered / (delivered + dropped) over the epoch — the
 // fraction of packet journeys that survived it. 1 when nothing moved.
 func (e EpochStat) Availability() float64 {
-	lost := e.DroppedTail + e.DroppedFault + e.DroppedStale
+	lost := e.DroppedTail + e.DroppedFault
 	if e.Delivered+lost == 0 {
 		return 1
 	}
@@ -100,7 +94,7 @@ type Timeline struct {
 
 // faultState is the live-failure state shared by both engines: the plan, the
 // mutable view of currently-dead components, the epoch counter the transport
-// engine's route invalidation keys on, and the accumulating epoch stats.
+// engine's timeout revalidation keys on, and the accumulating epoch stats.
 type faultState struct {
 	plan  *failure.FaultPlan
 	view  *graph.View

@@ -2,7 +2,9 @@ package packetsim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/failure"
@@ -240,6 +242,39 @@ func TestTransportAbortsStrandedFlow(t *testing.T) {
 	}
 }
 
+// TestMaxEventsStopsEveryShardCount pins the MaxEvents brake at every shard
+// count. A flow to a server that dies at 10 µs, with the give-up cap off,
+// retransmits forever, so the run must stop with the overrun error. One
+// shard drains the whole run in a single window, so the brake has to act
+// inside the drain, not only at window barriers. Each run has a deadline,
+// so a missing brake fails the test instead of hanging it.
+func TestMaxEventsStopsEveryShardCount(t *testing.T) {
+	tp := faultTopo(t)
+	net := tp.Network()
+	flows := []traffic.Flow{{Src: 0, Dst: 5, Bytes: 64 << 10}}
+	cfg := DefaultTransport()
+	cfg.Faults = &failure.FaultPlan{Events: []failure.FaultEvent{
+		{TimeSec: 1e-5, Kind: failure.Servers, Index: net.Servers()[5]},
+	}}
+	cfg.MaxFlowTimeouts = 0
+	cfg.MaxEvents = 1000
+	for _, s := range []int{1, 2, 4} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := RunTransportSharded(tp, flows, cfg, ShardOpts{Shards: s})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "exceeded") {
+				t.Errorf("shards=%d: err = %v, want the MaxEvents overrun", s, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("shards=%d: still running after 10s; MaxEvents did not stop it", s)
+		}
+	}
+}
+
 // transportConservation runs one fault schedule and checks the packet-journey
 // ledger: every data and ACK packet that entered the network is accounted for
 // by exactly one terminal outcome.
@@ -257,16 +292,12 @@ func transportConservation(t *testing.T, tp topology.Topology, flows []traffic.F
 	sent := reg.Counter(MetricDataSent).Value() + reg.Counter(MetricAckSent).Value()
 	arrived := reg.Counter(MetricDataArrived).Value() + reg.Counter(MetricAckArrived).Value()
 	dropped := reg.Counter(MetricTransportDrops).Value() +
-		reg.Counter(MetricTransportFaultDrops).Value() +
-		reg.Counter(MetricTransportStaleDrops).Value()
+		reg.Counter(MetricTransportFaultDrops).Value()
 	if sent != arrived+dropped {
 		t.Errorf("conservation: sent %d != arrived %d + dropped %d", sent, arrived, dropped)
 	}
 	if got := reg.Counter(MetricTransportFaultDrops).Value(); got != int64(res.DroppedFault) {
 		t.Errorf("fault-drop counter %d != result %d", got, res.DroppedFault)
-	}
-	if got := reg.Counter(MetricTransportStaleDrops).Value(); got != int64(res.DroppedStale) {
-		t.Errorf("stale-drop counter %d != result %d", got, res.DroppedStale)
 	}
 	return res
 }

@@ -131,8 +131,7 @@ func FuzzMultipathConservation(f *testing.F) {
 		sent := reg.Counter(MetricDataSent).Value() + reg.Counter(MetricAckSent).Value()
 		arrived := reg.Counter(MetricDataArrived).Value() + reg.Counter(MetricAckArrived).Value()
 		dropped := reg.Counter(MetricTransportDrops).Value() +
-			reg.Counter(MetricTransportFaultDrops).Value() +
-			reg.Counter(MetricTransportStaleDrops).Value()
+			reg.Counter(MetricTransportFaultDrops).Value()
 		if sent != arrived+dropped {
 			t.Fatalf("conservation violated: sent %d != arrived %d + dropped %d (plan %+v)",
 				sent, arrived, dropped, plan.Events)
@@ -197,8 +196,7 @@ func FuzzShardConservation(f *testing.F) {
 		sent := reg.Counter(MetricDataSent).Value() + reg.Counter(MetricAckSent).Value()
 		arrived := reg.Counter(MetricDataArrived).Value() + reg.Counter(MetricAckArrived).Value()
 		dropped := reg.Counter(MetricTransportDrops).Value() +
-			reg.Counter(MetricTransportFaultDrops).Value() +
-			reg.Counter(MetricTransportStaleDrops).Value()
+			reg.Counter(MetricTransportFaultDrops).Value()
 		if sent != arrived+dropped {
 			t.Fatalf("shards=%d conservation violated: sent %d != arrived %d + dropped %d (plan %+v)",
 				shards, sent, arrived, dropped, plan.Events)

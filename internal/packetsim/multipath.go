@@ -8,7 +8,8 @@
 // switches to the next healthy precompiled path immediately instead of
 // waiting for RTO. Failed paths enter exponential-backoff probation and are
 // re-probed (tevProbe events) until repair; RTO plus RouteAvoiding remains
-// the last resort when the whole scoreboard is dead.
+// the last resort when the whole scoreboard is dead. The scoreboard lives
+// with the sender, on its source node's shard.
 
 package packetsim
 
@@ -17,6 +18,7 @@ import (
 	"math"
 	"strconv"
 
+	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/topology"
 )
@@ -80,11 +82,9 @@ func (p *routePlan) multipathFor(t topology.Topology, k int) (*multipathPlan, er
 	return mp, nil
 }
 
-// compileMultipath builds the per-flow path sets: the routePlan primary
-// first (aliased, not recompiled), then up to k-1 of the structure's
-// parallel paths, skipping the primary's duplicate. Structures without a
-// MultipathRouter get singleton sets — the scoreboard then degenerates to
-// the RouteAvoiding-only behaviour.
+// compileMultipath builds the per-flow path sets (pairPaths per flow).
+// Structures without a MultipathRouter get singleton sets — the scoreboard
+// then degenerates to the RouteAvoiding-only behaviour.
 func compileMultipath(t topology.Topology, plan *routePlan, k int) (*multipathPlan, error) {
 	mrouter, _ := t.(topology.MultipathRouter)
 	g := t.Network().Graph()
@@ -93,25 +93,39 @@ func compileMultipath(t topology.Topology, plan *routePlan, k int) (*multipathPl
 		if len(primary) < 2 {
 			continue // local flow: never transported
 		}
-		alts := []pathAlt{{fwd: primary, res: plan.flowRes(i)}}
-		if mrouter != nil {
-			for _, p := range mrouter.ParallelPaths(primary[0], primary[len(primary)-1]) {
-				if len(alts) >= k {
-					break
-				}
-				if len(p) < 2 || samePath(p, primary) {
-					continue
-				}
-				res, err := appendPathRes(make([]int32, 0, len(p)-1), g, p)
-				if err != nil {
-					return nil, fmt.Errorf("packetsim: flow %d multipath: %w", i, err)
-				}
-				alts = append(alts, pathAlt{fwd: p, res: res})
-			}
+		alts, err := pairPaths(mrouter, g, pathAlt{fwd: primary, res: plan.flowRes(i)}, k)
+		if err != nil {
+			return nil, fmt.Errorf("packetsim: flow %d multipath: %w", i, err)
 		}
 		mp.alts[i] = alts
 	}
 	return mp, nil
+}
+
+// pairPaths builds one server pair's scoreboard: the primary first (kept as
+// given, not recompiled), then up to k-1 of the structure's parallel paths
+// between its endpoints, skipping the primary's duplicate. mrouter may be
+// nil, which leaves the primary alone.
+func pairPaths(mrouter topology.MultipathRouter, g *graph.Graph, primary pathAlt, k int) ([]pathAlt, error) {
+	alts := []pathAlt{primary}
+	if mrouter == nil {
+		return alts, nil
+	}
+	p0 := primary.fwd
+	for _, p := range mrouter.ParallelPaths(p0[0], p0[len(p0)-1]) {
+		if len(alts) >= k {
+			break
+		}
+		if len(p) < 2 || samePath(p, p0) {
+			continue
+		}
+		res, err := appendPathRes(make([]int32, 0, len(p)-1), g, p)
+		if err != nil {
+			return nil, err
+		}
+		alts = append(alts, pathAlt{fwd: p, res: res})
+	}
+	return alts, nil
 }
 
 // samePath reports whether two node paths are identical.
@@ -131,11 +145,11 @@ func samePath(a, b topology.Path) bool {
 // in probation; with none, the lowest-indexed alive one (an untested path
 // beats RouteAvoiding); -1 when the whole scoreboard is dead. Index order
 // makes the choice deterministic and biases flows back toward the primary.
-func (r *transportRun) pickPath(flow int) int {
+func (r *stRun) pickPath(sh *stShard, flow int) int {
 	f := &r.flows[flow]
 	benched := -1
 	for j := range f.alts {
-		if !f.alts[j].fwd.Alive(r.net, r.fs.view) {
+		if !f.alts[j].fwd.Alive(r.net, sh.fs.view) {
 			continue
 		}
 		if f.probing[j] {
@@ -149,33 +163,40 @@ func (r *transportRun) pickPath(flow int) int {
 	return benched
 }
 
-// switchPath activates scoreboard path j: the flow's working route becomes
-// the precompiled alternative and the route epoch advances, orphaning (as
-// stale) whatever is still in flight on the old path.
-func (r *transportRun) switchPath(flow, j int) {
+// switchPath activates scoreboard path j. Packets in flight on the old path
+// ride it out.
+func (r *stRun) switchPath(sh *stShard, flow, j int) {
 	f := &r.flows[flow]
-	f.cur = j
-	f.fwd, f.res = f.alts[j].fwd, f.alts[j].res
-	f.routeEpoch++
-	r.pathSwitches++
+	f.curIdx = j
+	f.curID = f.altBase + int32(j)
+	sh.pathSwitches++
 	r.cSwitch.Inc()
 	if r.tracer != nil {
-		r.tracer.Record(obs.Event{TimeNs: int64(r.now * 1e9), Kind: "path_switch",
-			ID: int64(flow), Node: f.fwd[0], Hop: j})
+		r.tracer.Record(obs.Event{TimeNs: int64(sh.now * 1e9), Kind: "path_switch",
+			ID: int64(flow), Node: f.alts[j].fwd[0], Hop: j})
 	}
 }
 
-// probation benches scoreboard path j after a failure: a probe event will
-// re-test it after the path's current backoff, which doubles (capped at 64
-// RTO) until a probe finds it alive again.
-func (r *transportRun) probation(flow, j int) {
+// probation benches scoreboard path j after a failure: a probe event (local:
+// probes live on the sender's shard) re-tests it after the path's current
+// backoff, which doubles (capped at 64 RTO) until a probe finds it alive.
+func (r *stRun) probation(sh *stShard, flow, j int) {
 	f := &r.flows[flow]
 	if j < 0 || f.probing[j] {
 		return
 	}
 	f.probing[j] = true
+	r.pushProbe(sh, flow, j)
+}
+
+// pushProbe queues the next probe of path j under a fresh generation and
+// doubles the path's backoff.
+func (r *stRun) pushProbe(sh *stShard, flow, j int) {
+	f := &r.flows[flow]
 	f.probeGen[j]++
-	r.push(r.now+f.backoff[j], tevent{flow: int32(flow), seq: int32(j), gen: f.probeGen[j], kind: tevProbe})
+	key := keyProbeBase + (int64(f.probeGen[j])*int64(r.mpK+1)+int64(j))*keyFlowStride + int64(flow)
+	sh.q.Push(sh.now+f.backoff[j], key,
+		stevent{flow: int32(flow), seq: int32(j), gen: f.probeGen[j], kind: tevProbe})
 	f.backoff[j] = math.Min(f.backoff[j]*2, 64*r.cfg.RTOSec)
 }
 
@@ -183,7 +204,7 @@ func (r *transportRun) probation(flow, j int) {
 // clears probation, resets the backoff, and — when j is preferred over the
 // active path (lower index, or the flow is off-scoreboard) — reverts the
 // flow to it. Failure extends probation with the doubled backoff.
-func (r *transportRun) onProbe(flow, j int, gen int32) {
+func (r *stRun) onProbe(sh *stShard, flow, j int, gen int32) {
 	f := &r.flows[flow]
 	if f.alts == nil || gen != f.probeGen[j] || !f.probing[j] {
 		return // superseded probe
@@ -192,94 +213,96 @@ func (r *transportRun) onProbe(flow, j int, gen int32) {
 		f.probing[j] = false
 		return // flow over: stop probing so the run can drain
 	}
-	if f.alts[j].fwd.Alive(r.net, r.fs.view) {
+	if f.alts[j].fwd.Alive(r.net, sh.fs.view) {
 		f.probing[j] = false
 		f.probeGen[j]++
 		f.backoff[j] = r.cfg.RTOSec
-		r.probeOK++
+		sh.probeOK++
 		r.cProbeOK.Inc()
 		if r.tracer != nil {
-			r.tracer.Record(obs.Event{TimeNs: int64(r.now * 1e9), Kind: "probe",
+			r.tracer.Record(obs.Event{TimeNs: int64(sh.now * 1e9), Kind: "probe",
 				ID: int64(flow), Node: f.alts[j].fwd[0], Hop: j, Detail: "up"})
 		}
-		if f.cur < 0 || j < f.cur {
-			r.switchPath(flow, j)
+		if f.curIdx < 0 || j < f.curIdx {
+			r.switchPath(sh, flow, j)
 			if f.started {
-				r.restartPipe(flow)
+				r.restartPipe(sh, flow)
 			}
 		}
 		return
 	}
-	r.probeFail++
+	sh.probeFail++
 	r.cProbeFail.Inc()
 	if r.tracer != nil {
-		r.tracer.Record(obs.Event{TimeNs: int64(r.now * 1e9), Kind: "probe",
+		r.tracer.Record(obs.Event{TimeNs: int64(sh.now * 1e9), Kind: "probe",
 			ID: int64(flow), Node: f.alts[j].fwd[0], Hop: j, Detail: "down"})
 	}
-	f.probeGen[j]++
-	r.push(r.now+f.backoff[j], tevent{flow: int32(flow), seq: int32(j), gen: f.probeGen[j], kind: tevProbe})
-	f.backoff[j] = math.Min(f.backoff[j]*2, 64*r.cfg.RTOSec)
+	r.pushProbe(sh, flow, j)
 }
 
 // failover is the fast-signal recovery path (fault-epoch notification or
 // duplicate ACKs on a dead path): recover a route via the scoreboard — or
 // RouteAvoiding as last resort — and restart the pipe immediately instead
-// of waiting for RTO. A flow that cannot switch (nothing alive) is left for
-// the RTO/probe machinery.
-func (r *transportRun) failover(flow int) {
+// of waiting for RTO. Every path has its own id, so "did reroute change
+// anything" is an id comparison. A flow that cannot switch (nothing alive)
+// is left for the RTO/probe machinery.
+func (r *stRun) failover(sh *stShard, flow int) {
 	f := &r.flows[flow]
 	if f.done || f.aborted {
 		return
 	}
-	oldEpoch := f.routeEpoch
-	r.reroute(flow)
-	if f.routeEpoch == oldEpoch {
+	old := f.curID
+	r.reroute(sh, flow)
+	if f.curID == old {
 		return // nowhere to go under this failure set
 	}
-	r.failovers++
+	sh.failovers++
 	r.cFailover.Inc()
-	r.fs.cur.Failovers++
+	sh.fs.cur.Failovers++
 	if r.st.armed {
-		r.st.failover.Add(int64(r.now*1e9), 1)
+		r.st.failover.Add(int64(sh.now*1e9), 1)
 	}
 	if r.tracer != nil {
-		r.tracer.Record(obs.Event{TimeNs: int64(r.now * 1e9), Kind: "failover",
-			ID: int64(flow), Node: f.fwd[0], Hop: f.cur})
+		r.tracer.Record(obs.Event{TimeNs: int64(sh.now * 1e9), Kind: "failover",
+			ID: int64(flow), Node: r.path(f.curID).fwd[0], Hop: f.curIdx})
 	}
 	if f.started {
-		r.restartPipe(flow)
+		r.restartPipe(sh, flow)
 	}
 }
 
 // restartPipe restarts the sender on a freshly activated path: halve the
 // window (a failover is one loss event, not a full RTO collapse), write off
-// the orphaned in-flight packets, resend the oldest unacked one, and refill
-// the window. pump re-arms the retransmission timer.
-func (r *transportRun) restartPipe(flow int) {
+// what was in flight, resend the oldest unacked packet, and refill the
+// window. pump re-arms the retransmission timer.
+func (r *stRun) restartPipe(sh *stShard, flow int) {
 	f := &r.flows[flow]
 	f.ssthresh = math.Max(f.cwnd/2, 2)
 	f.cwnd = f.ssthresh
 	f.dupAcks = 0
 	f.inflight = 1
-	r.sendData(flow, f.acked, true)
-	r.pump(flow)
+	r.sendData(sh, flow, f.acked, true)
+	r.pump(sh, flow)
 }
 
 // onFaultEvent is the proactive trigger: after every fault-plan transition,
 // multipath flows whose active path now touches a dead component fail over
 // immediately. Repairs ride the same scan — they bump the epoch, and benched
-// paths come back via their scheduled probes.
-func (r *transportRun) onFaultEvent() {
+// paths come back via their scheduled probes. Every shard applies every
+// transition but scans only the flows whose sender it owns, in ascending
+// flow order, and a failover's first hop leaves on the sender's own links,
+// so same-time failovers on different shards never contend.
+func (r *stRun) onFaultEvent(sh *stShard) {
 	if r.mpK == 0 {
 		return
 	}
 	for i := range r.flows {
 		f := &r.flows[i]
-		if f.done || f.aborted || f.alts == nil {
+		if int(f.srcShard) != sh.id || f.done || f.aborted || f.alts == nil {
 			continue
 		}
-		if !f.fwd.Alive(r.net, r.fs.view) {
-			r.failover(i)
+		if !r.path(f.curID).fwd.Alive(r.net, sh.fs.view) {
+			r.failover(sh, i)
 		}
 	}
 }

@@ -77,8 +77,8 @@ func TestMultipathFailoverBeatsRTOOnly(t *testing.T) {
 	if reactive.Failovers != 0 || reactive.PathSwitches != 0 {
 		t.Errorf("reactive run reports multipath activity: %+v", reactive)
 	}
-	lostMP := mp.DroppedFault + mp.DroppedStale
-	lostReactive := reactive.DroppedFault + reactive.DroppedStale
+	lostMP := mp.DroppedFault
+	lostReactive := reactive.DroppedFault
 	if lostMP >= lostReactive {
 		t.Errorf("multipath lost %d packets, reactive lost %d — failover saved nothing",
 			lostMP, lostReactive)
@@ -194,8 +194,7 @@ func multipathConservation(t *testing.T, tp topology.Topology, flows []traffic.F
 	sent := reg.Counter(MetricDataSent).Value() + reg.Counter(MetricAckSent).Value()
 	arrived := reg.Counter(MetricDataArrived).Value() + reg.Counter(MetricAckArrived).Value()
 	dropped := reg.Counter(MetricTransportDrops).Value() +
-		reg.Counter(MetricTransportFaultDrops).Value() +
-		reg.Counter(MetricTransportStaleDrops).Value()
+		reg.Counter(MetricTransportFaultDrops).Value()
 	if sent != arrived+dropped {
 		t.Errorf("conservation: sent %d != arrived %d + dropped %d", sent, arrived, dropped)
 	}

@@ -19,17 +19,16 @@
 // fall on a grid (a 12,288-server permutation pops about 564 events per
 // distinct time), and it runs on eventq.Batched, which sorts each time's
 // events once instead of sifting every event through a heap. The transport
-// engines' events rarely share a time (about 1.1 per time in the F30 storm
-// cells), so they keep the 4-ary eventq.Queue. In the serial transport
-// engine most of what a single heap would hold is not packets: over a
-// serial svc-storm run it averages 1,749 entries, 1,313 of them
-// retransmission timers and 343 wakes, against 93 data and ACK hops, which
-// make 8.0M of its 9.69M pops. Its queue (tqueue.go) therefore keeps hops in
-// a near heap, timers armed at the base RTO in a FIFO (they arrive in key
-// order), and every other event in a far heap, and pops the least of the
-// three heads; the pop order is the single heap's. The pre-overhaul engines
-// survive in reference.go, on container/heap, as the oracle the equivalence
-// tests pin these results against, event for event.
+// model has one event loop too, the sharded one in transport.go; RunTransport
+// and the closed-loop TransportEngine are its one-shard case. Its events
+// rarely share a time (about 1.1 per time in the F30 storm cells), and most
+// of what a single heap would hold is not packets but retransmission timers
+// and wakes, so each shard's queue (tqueue.go) keeps hops in a near 4-ary
+// eventq.Queue, timers armed at the base RTO in a FIFO, and every other
+// event in a far heap, and pops the least of the three heads; the pop order
+// is the single heap's. The pre-overhaul engines survive in the package
+// tests (reference_test.go), on container/heap, as the oracle the
+// equivalence tests pin these results against, event for event.
 package packetsim
 
 import (

@@ -174,6 +174,16 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(tp, nil, bad); err == nil {
 		t.Error("invalid config accepted")
 	}
+	// A non-finite start used to be neither delivered nor dropped, or to
+	// vanish only at some shard counts.
+	for _, at := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		flows := []traffic.Flow{{Src: 0, Dst: 1, Bytes: 4096}, {Src: 1, Dst: 0, Bytes: 4096, StartSec: at}}
+		for _, s := range []int{1, 3} {
+			if _, err := RunSharded(tp, flows, Default(), ShardOpts{Shards: s}); err == nil {
+				t.Errorf("shards=%d: flow starting at %g accepted", s, at)
+			}
+		}
+	}
 }
 
 func TestEmptyWorkload(t *testing.T) {

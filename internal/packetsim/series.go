@@ -11,9 +11,7 @@ package packetsim
 import "repro/internal/obs"
 
 // Series track names registered on Config.Series by the engines. The packet
-// engine writes the first four; the transport engines write all of them
-// (DropStale only in serial runs — the sharded transport has no stale drops
-// by design, see shardtransport.go).
+// engine writes the first four; the transport engine writes all of them.
 const (
 	// SeriesGoodputBytes accrues delivered payload bytes: at delivery in the
 	// packet engine, at cumulative-ACK advance in the transport engines.
@@ -24,7 +22,6 @@ const (
 	// Per-cause drop curves, one update per lost packet.
 	SeriesDropTail  = "drop_droptail"
 	SeriesDropFault = "drop_fault"
-	SeriesDropStale = "drop_stale"
 	// Transport-only curves.
 	SeriesRetransmits = "retransmits"
 	SeriesFailovers   = "failovers"
@@ -42,7 +39,6 @@ type seriesTracks struct {
 	queue     *obs.Track
 	dropTail  *obs.Track
 	dropFault *obs.Track
-	dropStale *obs.Track
 	rtx       *obs.Track
 	failover  *obs.Track
 	reroute   *obs.Track
@@ -58,7 +54,6 @@ func newSeriesTracks(s *obs.Series) seriesTracks {
 		queue:     s.Track(SeriesQueueDepth),
 		dropTail:  s.Track(SeriesDropTail),
 		dropFault: s.Track(SeriesDropFault),
-		dropStale: s.Track(SeriesDropStale),
 		rtx:       s.Track(SeriesRetransmits),
 		failover:  s.Track(SeriesFailovers),
 		reroute:   s.Track(SeriesReroutes),

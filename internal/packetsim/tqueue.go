@@ -2,62 +2,73 @@ package packetsim
 
 import "repro/internal/eventq"
 
-// tqueue is the serial transport engine's event queue: three sources, each
-// already in (time, seq) order, merged at the front by that same key, so it
-// pops exactly what one eventq.Queue holding every event would.
+// tqueue is a transport shard's event queue: three sources, each already in
+// (time, key) order, merged at the front by that same key, so it pops
+// exactly what one eventq.Queue holding every event would.
 //
-// The split keeps the heap that packets pay for small. Over one serial
-// svc-storm run (the F30 retry-storm cells) a single heap averages 1,749
-// entries, 1,313 of them retransmission timers and 343 Schedule wakes, while
-// the data and ACK hops that make up 8.0M of 9.69M pops average only 93:
+// The split keeps the heap that packets pay for small. Over one svc-storm
+// run (the F30 retry-storm cells) a single heap averages about 1,750
+// entries, about 1,300 of them retransmission timers and 340 Schedule wakes,
+// while the data and ACK hops that make up 8.0M of 9.7M pops average only
+// about 93:
 //
 //   - near holds data and ACK hops;
-//   - fifo holds timers armed at the base RTO. Each lands at now+RTOSec with
-//     a fresh ordinal, and now never decreases across handlers, so these
-//     arms arrive in (time, seq) order and a ring pops them where a heap
-//     would;
+//   - fifo holds timers armed at the base RTO. Each lands at now+RTOSec and
+//     now never decreases across a shard's handlers, so these arms arrive in
+//     time order. Their content keys need not grow at equal times, so a
+//     timer that would sort below the FIFO's tail goes to far instead;
 //   - far holds everything else: flow starts, fault transitions (negative
-//     seqs), probes, wakes, and backed-off timers, whose times are not
+//     keys), probes, wakes, and backed-off timers, whose times are not
 //     monotone in arm order.
 //
 // Every event keeps its key, stale timers included, so the set and order of
 // pops is that of the single heap.
 type tqueue struct {
-	near eventq.Queue[tevent]
-	far  eventq.Queue[tevent]
+	near eventq.Queue[stevent]
+	far  eventq.Queue[stevent]
 	fifo timerFIFO
 }
 
-// push queues an event other than a retransmission timer: hops go to near,
+// Len returns the number of queued events.
+func (q *tqueue) Len() int { return q.near.Len() + q.far.Len() + q.fifo.n }
+
+// Push queues an event other than a retransmission timer: hops go to near,
 // everything else to far.
-func (q *tqueue) push(t float64, seq int64, ev tevent) {
+func (q *tqueue) Push(t float64, key int64, ev stevent) {
 	if ev.kind <= tevAck {
-		q.near.Push(t, seq, ev)
+		q.near.Push(t, key, ev)
 	} else {
-		q.far.Push(t, seq, ev)
+		q.far.Push(t, key, ev)
 	}
 }
 
 // pushTimer queues a retransmission timer armed at now to fire after rto.
-// Only a timer at the base RTO may join the FIFO: a backed-off one lands
-// later than base-RTO timers armed after it.
-func (q *tqueue) pushTimer(now, rto, base float64, seq int64, ev tevent) {
+// Only a timer at the base RTO that sorts at or above the FIFO's tail may
+// join the FIFO: a backed-off one lands later than base-RTO timers armed
+// after it, and a smaller key at the tail's time would pop out of order.
+func (q *tqueue) pushTimer(now, rto, base float64, key int64, ev stevent) {
+	t := now + rto
 	if rto == base {
-		q.fifo.push(now+rto, seq, ev)
-	} else {
-		q.far.Push(now+rto, seq, ev)
+		if q.fifo.n == 0 {
+			q.fifo.push(t, key, ev)
+			return
+		}
+		if tt, tk := q.fifo.tail(); !keyLess(t, key, tt, tk) {
+			q.fifo.push(t, key, ev)
+			return
+		}
 	}
+	q.far.Push(t, key, ev)
 }
 
-// len returns the number of queued events.
-func (q *tqueue) len() int { return q.near.Len() + q.far.Len() + q.fifo.n }
+// Grow makes room for n more hops (the window loop's handoffs are all hops).
+func (q *tqueue) Grow(n int) { q.near.Grow(n) }
 
-// pop removes and returns the event with the smallest (time, seq) key over
-// the three sources. It panics on an empty queue.
-func (q *tqueue) pop() (float64, int64, tevent) {
+// head returns the source holding the least key and that key's time; src is
+// -1 on an empty queue.
+func (q *tqueue) head() (src int, t float64) {
 	const near, fifo, far = 0, 1, 2
-	src := -1
-	var t float64
+	src = -1
 	var s int64
 	if q.near.Len() > 0 {
 		src = near
@@ -65,28 +76,54 @@ func (q *tqueue) pop() (float64, int64, tevent) {
 	}
 	if q.fifo.n > 0 {
 		e := &q.fifo.buf[q.fifo.head]
-		if src < 0 || keyLess(e.time, e.seq, t, s) {
-			src, t, s = fifo, e.time, e.seq
+		if src < 0 || keyLess(e.time, e.key, t, s) {
+			src, t, s = fifo, e.time, e.key
 		}
 	}
 	if q.far.Len() > 0 {
 		if ft, fs, _ := q.far.Peek(); src < 0 || keyLess(ft, fs, t, s) {
-			src = far
+			src, t = far, ft
 		}
 	}
-	switch src {
-	case near:
-		return q.near.Pop()
-	case fifo:
-		return q.fifo.pop()
+	return src, t
+}
+
+// Peek returns the least-keyed event without removing it. It panics on an
+// empty queue.
+func (q *tqueue) Peek() (float64, int64, stevent) {
+	switch src, _ := q.head(); src {
+	case 0:
+		return q.near.Peek()
+	case 1:
+		e := q.fifo.buf[q.fifo.head]
+		return e.time, e.key, e.ev
 	default:
-		return q.far.Pop()
+		return q.far.Peek()
 	}
 }
 
-// keyLess orders event keys by time, breaking ties by seq.
-func keyLess(at float64, as int64, bt float64, bs int64) bool {
-	return at < bt || (at == bt && as < bs)
+// popBefore removes and returns the least-keyed event if its time is below
+// end; ok is false (and nothing is removed) otherwise or when the queue is
+// empty. One head selection serves both the window-edge test and the pop.
+func (q *tqueue) popBefore(end float64) (t float64, key int64, ev stevent, ok bool) {
+	src, t := q.head()
+	if src < 0 || t >= end {
+		return 0, 0, stevent{}, false
+	}
+	switch src {
+	case 0:
+		t, key, ev = q.near.Pop()
+	case 1:
+		t, key, ev = q.fifo.pop()
+	default:
+		t, key, ev = q.far.Pop()
+	}
+	return t, key, ev, true
+}
+
+// keyLess orders event keys by time, breaking ties by key.
+func keyLess(at float64, ak int64, bt float64, bk int64) bool {
+	return at < bt || (at == bt && ak < bk)
 }
 
 // timerFIFO is a growable ring of keyed events popped in push order.
@@ -98,24 +135,30 @@ type timerFIFO struct {
 
 type fifoEntry struct {
 	time float64
-	seq  int64
-	ev   tevent
+	key  int64
+	ev   stevent
 }
 
-func (f *timerFIFO) push(t float64, seq int64, ev tevent) {
+func (f *timerFIFO) push(t float64, key int64, ev stevent) {
 	if f.n == len(f.buf) {
 		grown := make([]fifoEntry, max(2*len(f.buf), 64))
 		k := copy(grown, f.buf[f.head:])
 		copy(grown[k:], f.buf[:f.head])
 		f.buf, f.head = grown, 0
 	}
-	f.buf[(f.head+f.n)&(len(f.buf)-1)] = fifoEntry{time: t, seq: seq, ev: ev}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = fifoEntry{time: t, key: key, ev: ev}
 	f.n++
 }
 
-func (f *timerFIFO) pop() (float64, int64, tevent) {
+// tail returns the newest entry's key; the ring must be nonempty.
+func (f *timerFIFO) tail() (float64, int64) {
+	e := &f.buf[(f.head+f.n-1)&(len(f.buf)-1)]
+	return e.time, e.key
+}
+
+func (f *timerFIFO) pop() (float64, int64, stevent) {
 	e := f.buf[f.head]
 	f.head = (f.head + 1) & (len(f.buf) - 1)
 	f.n--
-	return e.time, e.seq, e.ev
+	return e.time, e.key, e.ev
 }

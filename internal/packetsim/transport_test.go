@@ -144,6 +144,11 @@ func TestTransportErrors(t *testing.T) {
 		if _, err := RunTransport(tp, flows, DefaultTransport()); err == nil {
 			t.Errorf("flow starting at %g accepted", at)
 		}
+		for _, s := range []int{1, 3} {
+			if _, err := RunTransportSharded(tp, flows, DefaultTransport(), ShardOpts{Shards: s}); err == nil {
+				t.Errorf("shards=%d: flow starting at %g accepted", s, at)
+			}
+		}
 	}
 }
 

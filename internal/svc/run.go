@@ -17,10 +17,10 @@
 //     failure by timeout. Error-propagation shortcuts would dampen the
 //     storm the layer exists to study.
 //
-// Everything runs on the serial engine's totally ordered event queue —
-// arrivals, timeouts, backoff timers, and hedges are wakes; attempt
-// completions are OnFlowDone callbacks — so runs are byte-deterministic for
-// a given (topology, graph, config, seed).
+// Everything runs on the one-shard transport engine's totally ordered event
+// queue (packetsim.TransportEngine) — arrivals, timeouts, backoff timers,
+// and hedges are wakes; attempt completions are OnFlowDone callbacks — so
+// runs are byte-deterministic for a given (topology, graph, config, seed).
 
 package svc
 
