@@ -2,19 +2,17 @@
 // packet-level simulators. Both pop in exact (time, then seq) order:
 //
 //   - Queue is a 4-ary min-heap of inline (time, seq, payload) entries. The
-//     transport engines use it: their events rarely share a time (over the
+//     transport engine uses it: its events rarely share a time (over the
 //     F30 retry-storm cells of the svc-storm benchmark at seed 1, 58.1M pops
 //     fall on 52.8M distinct times, 1.1 events per time), so there is
 //     nothing to batch. What costs there is the heap's size, not ties: one
-//     heap for the serial engine (RunTransport, TransportEngine) averages
-//     1,749 entries over a serial svc-storm run, 1,313 of them
-//     retransmission timers and 343 wakes, while the data and ACK hops that
-//     make 8.0M of its 9.69M pops average only 93. So that engine keeps two
-//     Queues, a near one for hops and a far one for starts, faults, probes,
-//     wakes and backed-off timers, plus a FIFO for timers armed at the base
-//     RTO, which already arrive in key order, and pops the least of the
-//     three heads. RunTransportSharded keeps one Queue per shard: its timer
-//     keys are not monotone in arm order, so no FIFO fits there.
+//     heap per shard would average about 1,750 entries over a one-shard
+//     svc-storm run, about 1,300 of them retransmission timers and 340
+//     wakes, while the data and ACK hops that make 8.0M of its 9.7M pops
+//     average only 93. So each shard keeps two Queues, a near one for hops
+//     and a far one for starts, faults, probes, wakes and backed-off timers,
+//     plus a FIFO for timers armed at the base RTO, which arrive in time
+//     order, and pops the least of the three heads.
 //   - Batched keys its heap on time alone and keeps the events that share a
 //     time in one bucket, sorting them by seq once when the time reaches the
 //     front. The datagram engine (packetsim.Run and RunSharded) uses it: its
